@@ -11,7 +11,9 @@ Two acts, both deterministic:
    first simulation slice.  The submission fails with a *structured*
    error (code, message, released quota slot) — and because the fault
    is count-triggered, the very next submission of the same spec runs
-   clean and produces bytes identical to an undisturbed in-process run.
+   clean and produces bytes identical to an undisturbed in-process run
+   (a reference-core session in the daemon against the default lane,
+   the fused core when numpy is installed, in process).
 
 2. **The SIGKILL drill.**  A real ``repro-sim serve`` subprocess gets
    ``kill -9`` mid-simulation — no drain, no shutdown hook, nothing.

@@ -7,11 +7,13 @@ Usage::
 Prints the cProfile hot spots of one baseline + one power-aware run.
 Use this before optimising anything in the scheduler hot path.
 
-Runs are constructed through the :class:`repro.api.Simulation` facade —
-the same registry-driven path the CLI, the experiment runner and the
-batch runner use — so the profile reflects exactly the code users run.
-Workload materialisation happens outside the profiled region; only the
-scheduler hot path is measured.
+Runs go through :meth:`repro.api.Simulation.run` — the same lane
+resolution the CLI, the experiment runner and the batch runner use — so
+the profile reflects exactly the code users run: the fused columnar
+core when numpy is installed, else the reference core.  Each profile is
+headed by the lane that ran it (``REPRO_ENGINE=reference`` profiles the
+reference core).  Workload materialisation happens outside the profiled
+region; only the simulation core is measured.
 """
 
 import cProfile
@@ -20,6 +22,18 @@ import sys
 
 from repro.api import Simulation
 from repro.experiments.config import PolicySpec, RunSpec
+from repro.sim.columnar import fallback_reason
+from repro.sim.lanes import resolve_engine_name
+
+
+def executed_lane(simulation: Simulation) -> str:
+    """The core ``simulation.run()`` executes on, with any fallback reason."""
+    lane = resolve_engine_name(simulation.spec)
+    if lane == "columnar":
+        reason = fallback_reason(simulation)
+        if reason is not None:
+            return f"reference (columnar fallback: {reason})"
+    return lane
 
 
 def main(workload: str = "SDSC", n_jobs: int = 5000) -> None:
@@ -28,12 +42,12 @@ def main(workload: str = "SDSC", n_jobs: int = 5000) -> None:
         ("power-aware DVFS(2, NO)", PolicySpec.power_aware(2.0, None)),
     ):
         simulation = Simulation(RunSpec(workload=workload, n_jobs=n_jobs, policy=policy))
-        jobs = simulation.jobs  # materialise the trace outside the profile
-        scheduler = simulation.build_scheduler()
-        print(f"=== {label}: {workload}, {n_jobs} jobs " + "=" * 30)
+        # len() materialises the trace outside the profile.
+        print(f"=== {label}: {workload}, {len(simulation.jobs)} jobs " + "=" * 30)
+        print(f"lane: {executed_lane(simulation)}")
         profiler = cProfile.Profile()
         profiler.enable()
-        scheduler.run(jobs)
+        simulation.run()
         profiler.disable()
         stats = pstats.Stats(profiler)
         stats.sort_stats("cumulative").print_stats(12)

@@ -7,7 +7,10 @@ serve``) on ephemeral ports:
    telemetry, and assert the fetched result is byte-identical to an
    in-process ``Simulation(spec).run()`` serialised the same way — the
    core simulation-as-a-service contract, exercised through the actual
-   process boundary and socket rather than a background thread.
+   process boundary and socket rather than a background thread.  The
+   daemon runs a reference-core session while the in-process run takes
+   the default lane (the fused core when numpy is installed), so this
+   is also a cross-lane check.
 
 2. **SIGKILL drill**: start a daemon over a ``--cache-dir``, submit a
    long run, ``SIGKILL -9`` the daemon mid-simulation (no shutdown

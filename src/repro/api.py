@@ -155,14 +155,16 @@ class Simulation:
         """Simulate the spec to completion.
 
         Execution goes through the engine lane the spec resolves to
-        (``spec.engine`` → ``REPRO_ENGINE`` → ``"reference"``; see
+        (``spec.engine`` → ``REPRO_ENGINE`` → the fused ``columnar``
+        core when numpy is installed, else ``"reference"``; see
         :mod:`repro.sim.lanes`) — every lane is byte-identical to the
         committed golden traces, so the choice affects speed only.
-        Instrumented specs run as ``session().result()`` on the
-        reference core (sessions are steppable by construction).
-        Resolving to an unavailable lane (``columnar`` without numpy)
-        raises :class:`~repro.serialize.SpecValidationError` with field
-        ``engine``.
+        Specs the fused core does not cover run on the reference core,
+        and instrumented specs run as ``session().result()`` on it
+        (sessions are steppable by construction).  Naming an
+        unavailable lane (``columnar`` without numpy) raises
+        :class:`~repro.serialize.SpecValidationError` with field
+        ``engine``; the default never does.
         """
         from repro.sim.lanes import resolve_lane  # deferred: avoids a cycle
 

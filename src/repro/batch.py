@@ -522,7 +522,14 @@ class BatchRunner:
                 else:
                     while queue and len(futures) < window:
                         spec = queue.popleft()
-                        futures[pool.submit(_execute, self._payload(spec))] = spec
+                        try:
+                            futures[pool.submit(_execute, self._payload(spec))] = spec
+                        except BrokenProcessPool:
+                            # The pool broke since the last wait(): this
+                            # spec never ran.  The in-flight futures carry
+                            # the breakage into the handling below.
+                            queue.appendleft(spec)
+                            break
                 done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
                 # A death is attributable only when its spec was provably
                 # alone in the pool (a lone in-flight future).

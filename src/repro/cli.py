@@ -293,7 +293,8 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         "--engine", default=None, choices=ENGINES.names(), metavar="LANE",
         help="simulation core lane: one of "
              f"{', '.join(ENGINES.names())} (results are byte-identical; "
-             "default: the REPRO_ENGINE environment variable, else reference)",
+             "default: the REPRO_ENGINE environment variable, else columnar "
+             "when numpy is installed, else reference)",
     )
 
 

@@ -213,11 +213,11 @@ class RunSpec:
 
     ``engine`` selects the simulation core on
     :data:`~repro.registry.ENGINES` (``None`` = the process default:
-    ``REPRO_ENGINE`` or ``"reference"``).  Lanes are pinned
-    byte-identical, so the field is *execution metadata*, not run
-    identity: it is excluded from equality/hashing and from the
-    canonical spec JSON, and two specs differing only in ``engine``
-    share one cache entry.
+    ``REPRO_ENGINE``, else ``"columnar"`` when numpy is installed, else
+    ``"reference"``).  Lanes are pinned byte-identical, so the field is
+    *execution metadata*, not run identity: it is excluded from
+    equality/hashing and from the canonical spec JSON, and two specs
+    differing only in ``engine`` share one cache entry.
     """
 
     workload: str

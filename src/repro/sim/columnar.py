@@ -39,7 +39,8 @@ reused outright, so candidate enumeration is shared code, not a copy.
 Coverage: EASY and FCFS scheduling under the ``nodvfs``, ``fixed`` and
 ``bsld`` policy kinds, no boost, no sleep, no timeline, no instruments,
 no validate/sanitize mode.  :func:`try_run_columnar` returns ``None``
-for anything else and the lane falls back to the reference core.
+for anything else and the lane falls back to the reference core;
+:func:`fallback_reason` says why.
 """
 
 from __future__ import annotations
@@ -68,43 +69,49 @@ from repro.sim.engine import SimulationError
 if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
     from repro.api import Simulation
 
-__all__ = ["try_run_columnar"]
+__all__ = ["fallback_reason", "try_run_columnar"]
 
 _SUPPORTED_SCHEDULERS = frozenset({"easy", "fcfs"})
 _SUPPORTED_POLICY_KINDS = frozenset({"nodvfs", "fixed", "bsld"})
 
 
-def _covers(simulation: Simulation) -> bool:
-    """Whether the fused core reproduces this run exactly.
+def fallback_reason(simulation: Simulation) -> str | None:
+    """Why the fused core cannot reproduce this run, or ``None`` if it can.
 
-    Anything outside this set (validate/sanitize modes, boost, sleep,
-    timelines, instruments, the conservative scheduler, the ``util``
-    policy) runs on the reference core via the lane fallback.
+    Names the first unmet condition, checked in a fixed order: numpy,
+    validate and sanitize modes, the scheduler, the policy kind, boost,
+    sleep, timelines, instruments, and last an empty trace.  Anything
+    with a reason runs on the reference core via the lane fallback.
     """
     spec = simulation.spec
-    return (
-        not simulation.validate
-        and not simulation.sanitize
-        and not sanitize_enabled()
-        and spec.scheduler in _SUPPORTED_SCHEDULERS
-        and spec.policy.kind in _SUPPORTED_POLICY_KINDS
-        and spec.policy.boost_trigger is None
-        and spec.sleep is None
-        and not spec.record_timeline
-        and not spec.instruments
-    )
+    if _np is None:
+        return "numpy is not installed"
+    if simulation.validate:
+        return "validate mode is on"
+    if simulation.sanitize or sanitize_enabled():
+        return "the sanitizer is on"
+    if spec.scheduler not in _SUPPORTED_SCHEDULERS:
+        return f"scheduler {spec.scheduler!r} is not fused"
+    if spec.policy.kind not in _SUPPORTED_POLICY_KINDS:
+        return f"policy kind {spec.policy.kind!r} is not fused"
+    if spec.policy.boost_trigger is not None:
+        return "boost is set"
+    if spec.sleep is not None:
+        return "a sleep policy is set"
+    if spec.record_timeline:
+        return "timeline recording is on"
+    if spec.instruments:
+        return "instruments are attached"
+    if not simulation.jobs:
+        return "the trace is empty"
+    return None
 
 
 def try_run_columnar(simulation: Simulation) -> SimulationResult | None:
     """Run ``simulation`` on the fused core, or ``None`` if not covered."""
-    if _np is None:
+    if fallback_reason(simulation) is not None:
         return None
-    if not _covers(simulation):
-        return None
-    jobs = [job.clamped() for job in simulation.jobs]
-    if not jobs:
-        return None  # the trivial empty trace stays on the reference core
-    return _run_columnar(simulation, jobs)
+    return _run_columnar(simulation, [job.clamped() for job in simulation.jobs])
 
 
 def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:

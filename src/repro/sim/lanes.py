@@ -12,7 +12,8 @@ Two lanes ship:
 ``reference``
     The event-driven :class:`~repro.scheduling.base.Scheduler` core —
     the semantics everything else is verified against.  Always
-    available; the default.
+    available: the fallback for specs the fused core does not cover,
+    the core under sessions and the serve daemon, and the oracle.
 
 ``columnar``
     A fused, allocation-light EASY/FCFS core
@@ -21,13 +22,17 @@ Two lanes ship:
     Requires numpy; configurations it does not cover (validate mode,
     sleep policies, boost, timelines, the conservative scheduler, the
     ``util`` policy) fall back to the reference core transparently —
-    the results are identical either way.
+    the results are identical either way
+    (:func:`~repro.sim.columnar.fallback_reason` names why).
 
 Resolution order: ``spec.engine`` → the ``REPRO_ENGINE`` environment
-variable → ``"reference"``.  An unavailable or unknown resolved lane
-raises :class:`~repro.serialize.SpecValidationError` with field
-``engine``, which the CLI and the serve daemon surface as the
-structured ``{error: {code, message, field}}`` document.
+variable → :data:`DEFAULT_ENGINE` (``columnar``) when numpy is
+installed, else ``reference``.  The default never fails: without numpy
+it quietly resolves to the reference lane.  An unavailable or unknown
+lane that is *named* (by the spec or the environment) raises
+:class:`~repro.serialize.SpecValidationError` with field ``engine``,
+which the CLI and the serve daemon surface as the structured
+``{error: {code, message, field}}`` document.
 """
 
 from __future__ import annotations
@@ -52,11 +57,12 @@ __all__ = [
     "resolve_lane",
 ]
 
-#: The lane used when neither the spec nor the environment selects one.
-DEFAULT_ENGINE = "reference"
+#: The lane used when neither the spec nor the environment selects one,
+#: provided it is available here (otherwise the reference lane runs).
+DEFAULT_ENGINE = "columnar"
 
 #: Environment variable naming the process-default lane (CI uses it to
-#: drive the whole suite through the columnar core).
+#: drive the whole suite through the reference core).
 ENGINE_ENV = "REPRO_ENGINE"
 
 
@@ -80,7 +86,7 @@ class EngineLane:
 class ReferenceLane(EngineLane):
     """The event-driven reference core — always available."""
 
-    name = DEFAULT_ENGINE
+    name = "reference"
 
     def run(self, simulation: Simulation) -> SimulationResult:
         return simulation.build_scheduler().run(simulation.jobs)
@@ -118,15 +124,23 @@ class ColumnarLane(EngineLane):
 #: Registered as instances: a lane is stateless, so one object serves
 #: every run, and lookups return something immediately runnable.
 _REFERENCE = ReferenceLane()
-ENGINES.add(DEFAULT_ENGINE, _REFERENCE)
+ENGINES.add(_REFERENCE.name, _REFERENCE)
 ENGINES.add("columnar", ColumnarLane())
 
 
 def resolve_engine_name(spec: RunSpec) -> str:
-    """The lane name ``spec`` resolves to (spec → environment → default)."""
+    """The lane name ``spec`` resolves to.
+
+    ``spec.engine`` → ``REPRO_ENGINE`` → :data:`DEFAULT_ENGINE` if it is
+    available here, else ``reference``.  Only a named lane can resolve
+    to one that is unavailable.
+    """
     if spec.engine is not None:
         return spec.engine
-    return os.environ.get(ENGINE_ENV) or DEFAULT_ENGINE
+    named = os.environ.get(ENGINE_ENV)
+    if named:
+        return named
+    return DEFAULT_ENGINE if ENGINES.get(DEFAULT_ENGINE).available() else _REFERENCE.name
 
 
 def check_engine_name(name: str) -> None:

@@ -2,9 +2,11 @@
 
 The lane contract has three legs, each pinned here:
 
-1. *Resolution* — ``spec.engine`` → ``REPRO_ENGINE`` → ``"reference"``,
-   with unknown/unavailable lanes failing fast as
-   :class:`~repro.serialize.SpecValidationError` (field ``engine``).
+1. *Resolution* — ``spec.engine`` → ``REPRO_ENGINE`` → ``"columnar"``
+   when numpy is installed, else ``"reference"``.  A named
+   unknown/unavailable lane fails fast as
+   :class:`~repro.serialize.SpecValidationError` (field ``engine``);
+   the default never does.
 2. *Neutrality* — which lane runs a spec is execution metadata: cache
    keys, canonical spec JSON, equality and hashing are all identical
    with and without an engine selection, so cached results are shared
@@ -54,11 +56,13 @@ class TestResolution:
         assert "columnar" in ENGINES
 
     def test_reference_always_available(self):
-        assert ENGINES.get(DEFAULT_ENGINE).available()
+        assert ENGINES.get("reference").available()
 
-    def test_default_is_reference(self, monkeypatch):
+    def test_default_is_columnar_when_available(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine_name(SPEC) == DEFAULT_ENGINE
+        assert DEFAULT_ENGINE == "columnar"
+        expected = DEFAULT_ENGINE if _numpy_available() else "reference"
+        assert resolve_engine_name(SPEC) == expected
 
     def test_environment_selects_lane(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "columnar")
@@ -86,7 +90,8 @@ class TestResolution:
     def test_resolve_lane_returns_runnable(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         lane = resolve_lane(SPEC)
-        assert lane.name == DEFAULT_ENGINE
+        assert lane.name == (DEFAULT_ENGINE if _numpy_available() else "reference")
+        assert lane.available()
 
 
 class TestLaneNeutrality:
@@ -210,6 +215,120 @@ class TestUnavailableLaneSurfacing(_Unavailable):
     def test_reference_still_runs(self):
         result = Simulation(SPEC.with_engine("reference")).run()
         assert len(result.outcomes) == SPEC.n_jobs
+
+
+def _forbid_fused_core(monkeypatch) -> None:
+    """Make any call into the fused core fail loudly."""
+
+    def refuse(simulation):
+        raise AssertionError("try_run_columnar was called")
+
+    monkeypatch.setattr("repro.sim.columnar.try_run_columnar", refuse)
+
+
+class TestDefaultWithoutColumnar(_Unavailable):
+    """With the fused core unavailable the default quietly runs reference.
+
+    Every entry point accepts a spec that names no lane, runs it on the
+    reference core (the fused core is never entered) and produces the
+    same bytes as a spec pinned to ``engine="reference"``.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _no_fused_core(self, monkeypatch):
+        _forbid_fused_core(monkeypatch)
+
+    @staticmethod
+    def _reference_document() -> dict:
+        from repro.serialize import result_to_dict
+
+        return result_to_dict(Simulation(SPEC.with_engine("reference")).run())
+
+    def test_default_resolves_to_reference(self):
+        check_engine_available(SPEC)
+        assert resolve_engine_name(SPEC) == "reference"
+        assert resolve_lane(SPEC).name == "reference"
+
+    def test_simulation_run(self):
+        from repro.serialize import result_to_dict
+
+        assert result_to_dict(Simulation(SPEC).run()) == self._reference_document()
+
+    def test_batch_runner(self):
+        from repro.batch import BatchRunner
+        from repro.serialize import result_to_dict
+
+        (result,) = BatchRunner(max_workers=0).run([SPEC])
+        assert result_to_dict(result) == self._reference_document()
+
+    def test_cli_run_json(self, capsys):
+        from repro.cli import main
+
+        argv = ["--json", "--jobs", "50", "run", "SDSC", "--bsld-threshold", "2",
+                "--wq-threshold", "4", "--seed", "7"]
+        assert main(argv) == 0
+        default = capsys.readouterr()
+        assert main([*argv, "--engine", "reference"]) == 0
+        pinned = capsys.readouterr()
+        assert default.err == ""
+        assert default.out == pinned.out and default.out.strip()
+
+    def test_serve_submit_accepted_202(self):
+        import urllib.request
+
+        from repro.serve.client import ServeClient
+        from repro.serve.server import ReproServer, canonical_result_bytes
+
+        server = ReproServer("127.0.0.1", 0, max_workers=1)
+        server.start_in_thread()
+        try:
+            request = urllib.request.Request(
+                f"http://{server.address}/runs",
+                data=json.dumps({"spec": spec_to_dict(SPEC)}).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request) as response:
+                assert response.status == 202
+                job_id = json.loads(response.read())["job_id"]
+            served = ServeClient(server.address).result_bytes(job_id)
+        finally:
+            server.stop()
+        assert served == canonical_result_bytes(self._reference_document())
+
+    def test_explicit_columnar_still_fails(self):
+        """Naming the lane still fails (the API, CLI and serve cases are
+        pinned by TestUnavailableLaneSurfacing)."""
+        from repro.batch import BatchRunner
+
+        with pytest.raises(SpecValidationError) as excinfo:
+            BatchRunner(engine="columnar")
+        assert excinfo.value.path == "engine"
+
+
+class TestReferenceNeverEntersFusedCore:
+    """Naming the reference lane keeps every run off the fused core."""
+
+    @pytest.fixture(autouse=True)
+    def _no_fused_core(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        _forbid_fused_core(monkeypatch)
+
+    def test_spec_pinned_reference(self):
+        from repro.batch import BatchRunner
+
+        assert len(Simulation(SPEC.with_engine("reference")).run().outcomes) == SPEC.n_jobs
+        (result,) = BatchRunner(max_workers=0, engine="reference").run([SPEC])
+        assert result.job_count == SPEC.n_jobs
+
+    def test_environment_reference(self, monkeypatch):
+        monkeypatch.setenv(ENGINE_ENV, "reference")
+        assert len(Simulation(SPEC).run().outcomes) == SPEC.n_jobs
+
+    @pytest.mark.skipif(not _numpy_available(), reason="columnar lane needs numpy")
+    def test_default_does_enter_fused_core(self):
+        """Control: the patch is live, so the default run trips it."""
+        with pytest.raises(AssertionError, match="try_run_columnar was called"):
+            Simulation(SPEC).run()
 
 
 @pytest.mark.skipif(_numpy_available(), reason="exercises the real numpy-less probe")

@@ -315,6 +315,40 @@ class TestFaultTolerance:
         assert as_bytes(results[1:]) == as_bytes(clean)
 
     @fork_only
+    def test_pool_broken_at_submit_is_survived(self, monkeypatch):
+        """Regression: a worker death landing between wait() and the next
+        submit() made submit() raise BrokenProcessPool out of run().  The
+        pool here holds every later submit until the crasher has died."""
+        from concurrent.futures import wait
+
+        class SubmitAfterBreak:
+            def __init__(self, pool):
+                self.pool = pool
+                self.first = None
+
+            def submit(self, fn, payload):
+                if self.first is not None:
+                    wait([self.first])
+                future = self.pool.submit(fn, payload)
+                self.first = self.first or future
+                return future
+
+            def shutdown(self, wait=True):
+                self.pool.shutdown(wait=wait)
+
+        spawn = BatchRunner._spawn_pool
+        monkeypatch.setattr(
+            BatchRunner, "_spawn_pool",
+            lambda self, workers: SubmitAfterBreak(spawn(self, workers)),
+        )
+        _inject_builder(monkeypatch, lambda spec: os._exit(13))
+        runner = BatchRunner(max_workers=2, on_error="skip")
+        results = runner.run([crash_spec(), *grid_specs()[:3]])
+        assert results[0] is None and None not in results[1:]
+        (failure,) = runner.failures
+        assert failure.spec == crash_spec()
+
+    @fork_only
     def test_worker_death_retry_counts_attempts(self, monkeypatch):
         _inject_builder(monkeypatch, lambda spec: os._exit(13))
         runner = BatchRunner(max_workers=2, on_error="retry", retries=1)
