@@ -12,11 +12,17 @@ serve``) on ephemeral ports:
    the default lane (the fused core when numpy is installed), so this
    is also a cross-lane check.
 
-2. **SIGKILL drill**: start a daemon over a ``--cache-dir``, submit a
-   long run, ``SIGKILL -9`` the daemon mid-simulation (no shutdown
-   hooks, no drain — the journal gets no goodbye), restart a fresh
-   daemon over the same directory, and assert the job is recovered
-   under its **original id** and completes **byte-identically**.
+2. **SIGKILL drill**: start a daemon over a ``--cache-dir``, finish one
+   small run, submit a long run, ``SIGKILL -9`` the daemon
+   mid-simulation (no shutdown hooks, no drain — the journal gets no
+   goodbye), restart a fresh daemon over the same directory, and assert
+   the job is recovered under its **original id** and completes
+   **byte-identically**.
+
+3. **Disk hit**: resubmit the small run to the restarted daemon and
+   assert it is served ``from_cache`` — the stored body sent without
+   simulating — byte-identical to the in-process run, and that its
+   ``?aggregates=1`` body equals the in-process aggregates bytes.
 
 Run with::
 
@@ -90,6 +96,7 @@ def sigkill_drill() -> None:
         first = spawn_daemon("--cache-dir", cache_dir)
         address = wait_for_address(first)
         client = ServeClient(address, client_id="serve-smoke")
+        client.result_bytes(client.submit(SPEC)["job_id"])  # lands in the cache
         job_id = client.submit(KILL_SPEC)["job_id"]
         # Give the worker a moment to be genuinely mid-simulation.
         deadline = time.monotonic() + 10.0
@@ -127,6 +134,7 @@ def sigkill_drill() -> None:
                 f"serve-smoke: OK — restart recovered {job_id} byte-identically "
                 f"({len(fetched)} bytes)"
             )
+            disk_hit(client)
         finally:
             second.send_signal(signal.SIGINT)
             try:
@@ -134,6 +142,25 @@ def sigkill_drill() -> None:
             except subprocess.TimeoutExpired:
                 second.kill()
                 second.wait()
+
+
+def disk_hit(client: ServeClient) -> None:
+    """A spec finished before the restart must be served from the cache."""
+    job_id = client.submit(SPEC)["job_id"]
+    status = client.wait(job_id, timeout=60.0)
+    if status["state"] != "done" or not status["from_cache"]:
+        fail(f"resubmitted finished spec was not a cache hit: {status}")
+    result = Simulation(SPEC).run()
+    fetched = client.result_bytes(job_id)
+    if fetched != canonical_result_bytes(result_to_dict(result)):
+        fail(f"disk-hit body is not byte-identical ({len(fetched)} bytes)")
+    slim = client.result_bytes(job_id, aggregates_only=True)
+    if slim != canonical_result_bytes(result_to_dict(result.to_aggregates())):
+        fail(f"disk-hit aggregates body is not byte-identical ({len(slim)} bytes)")
+    print(
+        f"serve-smoke: OK — disk hit {job_id} served from cache byte-identically "
+        f"({len(fetched)} bytes, aggregates {len(slim)} bytes)"
+    )
 
 
 def main() -> int:

@@ -37,13 +37,22 @@ crosses the process boundary, and :meth:`BatchRunner.run_streaming`
 hands each result to a reduction callback without accumulating the
 result list at all.
 
-The on-disk cache (one JSON file per spec, keyed by the canonical spec
-hash) makes repeated sweeps — the 60-run grids behind Figures 3-5 and
-7-9 — free after the first run, across processes and sessions.
+The on-disk cache (one ``<spec_key>.json`` file per spec, keyed by the
+canonical spec hash) makes repeated sweeps — the 60-run grids behind
+Figures 3-5 and 7-9 — free after the first run, across processes and
+sessions.  An entry is two lines: a JSON header carrying ``version``,
+``spec``, ``aggregated``, ``length`` and the ``sha256`` of the body,
+then the body itself — the result's canonical bytes
+(:func:`~repro.serialize.canonical_result_bytes`), exactly what the
+serve daemon sends.  A read verifies the header against the requested
+spec and the body against its length and digest; any entry that fails
+(torn, corrupted, another version, or an older single-document entry)
+reads as a miss and is recomputed and overwritten once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -61,6 +70,7 @@ from repro.registry import WORKLOAD_SOURCES
 from repro.sim.lanes import check_engine_name
 from repro.serialize import (
     FORMAT_VERSION,
+    canonical_result_bytes,
     result_from_dict,
     result_to_dict,
     spec_key,
@@ -243,15 +253,58 @@ class BatchRunner:
         return self.cache_dir / f"{spec_key(spec)}.json"
 
     def cache_load(self, spec: RunSpec) -> SimulationResult | None:
-        """Fetch one result from the disk cache; counts a hit or miss."""
-        result = self._cache_read(spec)
-        if result is None:
+        """Fetch one decoded result from the disk cache; counts a hit or miss."""
+        return self._counted(self._cache_read(spec, decode=True))
+
+    def cache_load_bytes(self, spec: RunSpec) -> bytes | None:
+        """Fetch one result's canonical body from the disk cache.
+
+        The body comes back exactly as stored — verified against its
+        header, never decoded — so a server can send it as is.  Only an
+        aggregates-only runner holding a full entry decodes it, to
+        reduce and re-encode.  Counts a hit or miss like
+        :meth:`cache_load`.
+        """
+        return self._counted(self._cache_read(spec, decode=False))
+
+    def _counted(self, found):
+        if found is None:
             self._cache_misses += 1
         else:
             self._cache_hits += 1
-        return result
+        return found
 
-    def _cache_read(self, spec: RunSpec) -> SimulationResult | None:
+    def _cache_read(
+        self, spec: RunSpec, *, decode: bool
+    ) -> SimulationResult | bytes | None:
+        """The entry for ``spec`` as a result (``decode``) or canonical body."""
+        entry = self._cache_entry(spec)
+        if entry is None:
+            return None
+        aggregated, body = entry
+        if aggregated and not self.aggregates_only:
+            return None  # reduced entry cannot serve a full-result request
+        reduce = self.aggregates_only and not aggregated
+        if not decode and not reduce:
+            return body
+        try:
+            result = result_from_dict(json.loads(body))
+        except (ValueError, KeyError, TypeError):
+            return None
+        if reduce:
+            result = result.to_aggregates()  # a full entry still satisfies us
+        return result if decode else canonical_result_bytes(result_to_dict(result))
+
+    def _cache_entry(self, spec: RunSpec) -> tuple[bool, bytes] | None:
+        """``(aggregated, body)`` of ``spec``'s entry once it verifies.
+
+        ``None`` for a missing entry and for one that fails any check:
+        an unparsable header (including an older single-document entry,
+        which has no header line), another format version, another
+        spec (a hash collision or stale layout), or a body whose length
+        or sha256 differs from the header's (a torn or corrupted write).
+        Every such entry is recomputed and overwritten.
+        """
         if self.cache_dir is None:
             return None
         # Chaos site: a scripted fault here emulates a dying/stalling
@@ -261,38 +314,54 @@ class BatchRunner:
         fault_fire("cache.load")
         path = self._cache_path(spec)
         try:
-            with open(path, "r", encoding="utf-8") as stream:
-                data = json.load(stream)
-            if data.get("version") != FORMAT_VERSION:
+            with open(path, "rb") as stream:
+                data = stream.read()
+            line, newline, body = data.partition(b"\n")
+            if not newline:
                 return None
-            if data.get("spec") != spec_to_dict(spec):
-                return None  # hash collision or stale layout: recompute
-            result = result_from_dict(data["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None  # missing or corrupt entries are recomputed
-        if self.aggregates_only:
-            return result.to_aggregates()  # a full entry still satisfies us
-        if result.is_aggregated:
-            return None  # reduced entry cannot serve a full-result request
-        return result
+            header = json.loads(line)
+            if not isinstance(header, dict):
+                return None
+            if (
+                header.get("version") != FORMAT_VERSION
+                or header.get("spec") != spec_to_dict(spec)
+                or header.get("length") != len(body)
+                or header.get("sha256") != hashlib.sha256(body).hexdigest()
+            ):
+                return None
+            return bool(header["aggregated"]), body
+        except (OSError, ValueError, KeyError):
+            return None
 
-    def cache_store(self, spec: RunSpec, result: SimulationResult) -> None:
-        """Persist one result (no-op without a cache directory)."""
+    def cache_store(
+        self, spec: RunSpec, result: SimulationResult, body: bytes | None = None
+    ) -> None:
+        """Persist one result (no-op without a cache directory).
+
+        ``body`` is the result's canonical encoding
+        (:func:`~repro.serialize.canonical_result_bytes`) when the
+        caller already holds it, so no run is encoded twice; otherwise
+        it is encoded here.
+        """
         if self.cache_dir is None:
             return
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._cache_path(spec)
-        payload = {
+        if body is None:
+            body = canonical_result_bytes(result_to_dict(result))
+        header = {
             "version": FORMAT_VERSION,
             "spec": spec_to_dict(spec),
-            "result": result_to_dict(result),
+            "aggregated": result.is_aggregated,
+            "length": len(body),
+            "sha256": hashlib.sha256(body).hexdigest(),
         }
-        data = json.dumps(payload).encode("utf-8")
+        data = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body
         # Chaos site: crash/delay/reset rules fire here (before any
         # bytes land); a torn_write rule hands back a truncated payload
         # that must reach the *final* path — emulating a writer that
         # died without the temp-and-rename discipline, the corruption
-        # _cache_read's recompute-on-corrupt arm exists to absorb.
+        # _cache_entry's length and digest checks exist to catch.
         kept, torn = fault_torn_write("cache.store", data)
         if torn:
             with open(path, "wb") as stream:

@@ -6,7 +6,9 @@ The codecs are exact: every float survives ``dumps``/``loads`` bit-for-bit
 ``result_from_dict(result_to_dict(r)) == r`` hold with plain ``==``.
 :class:`~repro.batch.BatchRunner` builds its on-disk result cache and
 its worker protocol on top of these, and :func:`spec_key` derives the
-cache key from the canonical spec JSON.
+cache key from the canonical spec JSON.  :func:`canonical_result_bytes`
+is the one canonical encoding of a result document: cache entries store
+it and the serve daemon sends it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "spec_key",
     "result_to_dict",
     "result_from_dict",
+    "canonical_result_bytes",
 ]
 
 #: Bumped whenever the serialised layout changes; cached results with a
@@ -406,6 +409,18 @@ def result_to_dict(result: SimulationResult) -> dict[str, Any]:
         ],
         "aggregates": _aggregates_to_dict(result.aggregates),
     }
+
+
+def canonical_result_bytes(payload: dict[str, Any]) -> bytes:
+    """The canonical encoding of a result document: sorted-key compact JSON.
+
+    The one encoding of a finished run: the result cache stores these
+    bytes as an entry's body and the serve daemon sends them verbatim,
+    so an HTTP-fetched result, a cached one and an in-process
+    ``canonical_result_bytes(result_to_dict(Simulation(spec).run()))``
+    are byte-identical.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def _energy_from_dict(data: dict[str, Any], path: str = "energy") -> EnergyReport:

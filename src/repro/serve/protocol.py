@@ -158,15 +158,24 @@ END_OF_STREAM = "EndOfStream"
 
 
 # -- telemetry rows -----------------------------------------------------------
+#: Field names per event class, looked up once: a stream converts
+#: thousands of events per run, and ``dataclasses.fields`` is not free.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def event_to_wire(event: LifecycleEvent) -> dict[str, Any]:
     """One lifecycle event as a JSON-ready row.
 
     The exact :class:`~repro.instruments.EventTraceRecorder` row shape:
     the frozen dataclass's fields plus an ``"event"`` type tag.
     """
-    row: dict[str, Any] = {"event": type(event).__name__}
-    for field in dataclass_fields(event):
-        row[field.name] = getattr(event, field.name)
+    kind = type(event)
+    names = _FIELD_NAMES.get(kind)
+    if names is None:
+        names = _FIELD_NAMES[kind] = tuple(f.name for f in dataclass_fields(kind))
+    row: dict[str, Any] = {"event": kind.__name__}
+    for name in names:
+        row[name] = getattr(event, name)
     return row
 
 

@@ -25,12 +25,20 @@ Endpoints (all JSON; errors use the shared
 Submissions are **single-flight** on the spec's cache key: while a run
 for a key is queued, running, or done, further submissions of the same
 key attach to it — they charge no quota, run no simulation, and fetch
-the very same result bytes.  Results are canonical sorted-key compact
-JSON of :func:`repro.serialize.result_to_dict`, so an HTTP-fetched
-result is byte-identical to an in-process ``Simulation(spec).run()``
-serialized the same way; the shared on-disk cache
-(:class:`repro.batch.BatchRunner`'s format) extends that identity
-across server restarts.
+the very same result bytes.  Results are the canonical bytes of
+:func:`repro.serialize.canonical_result_bytes` (sorted-key compact JSON
+of :func:`repro.serialize.result_to_dict`), so an HTTP-fetched result
+is byte-identical to an in-process ``Simulation(spec).run()`` serialized
+the same way.  Each run is encoded once: the same body is stored in the
+shared on-disk cache (:class:`repro.batch.BatchRunner`'s format) and
+sent to clients, and after a restart a cache hit sends the stored,
+digest-verified body without decoding it.  A job decodes its body only
+when a client asks for ``?aggregates=1``.
+
+Telemetry is recorded lazily: a job's replay buffer holds the frozen
+:class:`~repro.sim.events.LifecycleEvent` objects the run emitted, and
+the streaming handler turns them into wire rows
+(:func:`~repro.serve.protocol.event_to_wire`) only for subscribers.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ from repro.faults import InjectedFault, fire as fault_fire
 from repro.instruments import Instrument
 from repro.serialize import (
     SpecValidationError,
+    canonical_result_bytes,
+    result_from_dict,
     result_to_dict,
     spec_from_dict,
     spec_key,
@@ -97,18 +107,11 @@ _REASONS = {
 }
 
 
-def canonical_result_bytes(payload: dict[str, Any]) -> bytes:
-    """The wire encoding of a result document: sorted-key compact JSON.
-
-    Both sides of the byte-identity contract use this — the daemon when
-    it serialises a finished run, and any client comparing against an
-    in-process ``result_to_dict(Simulation(spec).run())``.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 class _TelemetryForwarder(Instrument):
-    """Session instrument copying lifecycle events into the job buffer.
+    """Session instrument appending lifecycle events to the job buffer.
+
+    The events are kept as the frozen objects the scheduler emitted;
+    they become wire rows only when a subscriber streams them.
 
     Deliberately *not* registry-registered: it is server plumbing, not
     a user instrument, and its report is stripped from the result so
@@ -122,7 +125,7 @@ class _TelemetryForwarder(Instrument):
         self._job = job
 
     def on_event(self, event: LifecycleEvent) -> None:
-        self._job.record_event(event_to_wire(event))
+        self._job.record_event(event)
 
 
 class ServeJob:
@@ -150,8 +153,7 @@ class ServeJob:
         self.from_cache = False
         self.recovered = recovered  # re-admitted from the journal at startup
         self.error: dict[str, Any] | None = None
-        self.result_bytes: bytes | None = None
-        self.result_obj: Any = None  # SimulationResult, kept for aggregates
+        self.result_bytes: bytes | None = None  # the canonical body
         self.cancel_event = threading.Event()
         self.max_events = max_events
         # Watchdog surface: the live session (for cooperative cancel)
@@ -159,26 +161,33 @@ class ServeJob:
         # GIL-atomic attribute hand-offs; None means "not running".
         self.session: SimulationSession | None = None
         self.lease_deadline: float | None = None
-        # Telemetry replay buffer: appended by the worker thread,
-        # sliced by streaming handlers; ``lock`` covers both plus the
-        # lazily-built aggregates encoding.
+        # Telemetry replay buffer of lifecycle events: appended by the
+        # worker thread, sliced (and only then turned into wire rows) by
+        # streaming handlers; ``lock`` covers both plus the lazily-built
+        # aggregates encoding.
         self.lock = threading.Lock()
-        self.events: list[dict[str, Any]] = []
+        self.events: list[LifecycleEvent] = []
         self.events_dropped = 0
         self._aggregates_bytes: bytes | None = None
 
-    def record_event(self, row: dict[str, Any]) -> None:
+    def record_event(self, event: LifecycleEvent) -> None:
         with self.lock:
             if len(self.events) < self.max_events:
-                self.events.append(row)
+                self.events.append(event)
             else:
                 self.events_dropped += 1
 
     def aggregates_bytes(self) -> bytes:
-        """The aggregates-only encoding of the finished result (cached)."""
+        """The aggregates-only encoding of the finished result (cached).
+
+        Decoded from :attr:`result_bytes` on first request: the job
+        keeps no decoded result, so only clients asking for aggregates
+        pay for the decode.
+        """
         with self.lock:
             if self._aggregates_bytes is None:
-                result = self.result_obj
+                assert self.result_bytes is not None
+                result = result_from_dict(json.loads(self.result_bytes))
                 if not result.is_aggregated:
                     result = result.to_aggregates()
                 self._aggregates_bytes = canonical_result_bytes(result_to_dict(result))
@@ -601,22 +610,22 @@ class ReproServer:
                 job.state = protocol.RUNNING
                 job.started_at = time.time()
             with self._cache_lock:
-                cached = self._runner.cache_load(job.spec)
+                cached = self._runner.cache_load_bytes(job.spec)
             if cached is not None:
                 # A cache hit streams no telemetry (the run happened in
                 # some earlier life); subscribers get the sentinel only.
+                # The stored body is already canonical: served verbatim.
                 job.from_cache = True
-                job.result_obj = cached
-                job.result_bytes = canonical_result_bytes(result_to_dict(cached))
+                job.result_bytes = cached
                 self._finish(job, protocol.DONE)
                 return
             result = self._simulate(job)
             if result is None:
                 return  # cancelled or over budget; _finish already ran
+            body = canonical_result_bytes(result_to_dict(result))
             with self._cache_lock:
-                self._runner.cache_store(job.spec, result)
-            job.result_obj = result
-            job.result_bytes = canonical_result_bytes(result_to_dict(result))
+                self._runner.cache_store(job.spec, result, body)
+            job.result_bytes = body
             self._finish(job, protocol.DONE)
         except Exception as exc:
             self._finish(
@@ -1017,24 +1026,24 @@ class ReproServer:
         sent = 0
         while True:
             with job.lock:
-                rows = job.events[sent:]
+                events = job.events[sent:]
                 dropped = job.events_dropped
             # Terminal state is only set after the run stopped emitting,
             # so a terminal snapshot taken *after* slicing the buffer
-            # guarantees the slice already held every row.
+            # guarantees the slice already held every event.
             terminal = job.state in TERMINAL_STATES
-            for row in rows:
-                writer.write(encode(row))
-            sent += len(rows)
-            if rows:
+            for event in events:
+                writer.write(encode(event_to_wire(event)))
+            sent += len(events)
+            if events:
                 await writer.drain()
             if terminal:
                 with job.lock:
-                    rows = job.events[sent:]
+                    events = job.events[sent:]
                     dropped = job.events_dropped
-                for row in rows:
-                    writer.write(encode(row))
-                sent += len(rows)
+                for event in events:
+                    writer.write(encode(event_to_wire(event)))
+                sent += len(events)
                 writer.write(
                     encode(
                         {

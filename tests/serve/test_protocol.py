@@ -1,11 +1,13 @@
 """Tests for the serve wire protocol: errors, states, telemetry rows."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.api import Simulation
 from repro.experiments.config import InstrumentSpec, RunSpec
+from repro.instruments import EventTraceRecorder
 from repro.serve.protocol import (
     END_OF_STREAM,
     ERROR_CODES,
@@ -19,7 +21,7 @@ from repro.serve.protocol import (
     ndjson_line,
     sse_line,
 )
-from repro.sim.events import JobFinished, JobStarted
+from repro.sim.events import JobFinished, JobStarted, LifecycleEvent
 
 
 class TestErrorVocabulary:
@@ -87,6 +89,15 @@ class TestJobStates:
         assert {"done", "failed", "cancelled"} == TERMINAL_STATES
 
 
+def _all_event_classes() -> set[type]:
+    found, stack = set(), [LifecycleEvent]
+    while stack:
+        kind = stack.pop()
+        found.add(kind)
+        stack.extend(kind.__subclasses__())
+    return found
+
+
 class TestTelemetryRows:
     def test_event_to_wire_carries_all_fields(self):
         event = JobStarted(12.5, 7, 4, 2.3, 1.5)
@@ -111,6 +122,22 @@ class TestTelemetryRows:
         session._scheduler.attach_observer(lambda e: streamed.append(event_to_wire(e)))
         session.result()
         assert streamed == recorded
+
+    @pytest.mark.parametrize(
+        "kind",
+        sorted(_all_event_classes(), key=lambda kind: kind.__name__),
+        ids=lambda kind: kind.__name__,
+    )
+    def test_every_event_class_matches_recorder_row(self, kind):
+        """Field names are looked up once per class; every class's row
+        must still equal the one EventTraceRecorder builds."""
+        values = {"float": 1.5, "int": 3, "str": "start", "bool": True}
+        event = kind(*(values[f.type] for f in dataclasses.fields(kind)))
+        recorder = EventTraceRecorder()
+        recorder.on_event(event)
+        (recorded,) = recorder.events
+        assert event_to_wire(event) == recorded
+        assert event_to_wire(event) == recorded  # the cached lookup
 
     def test_rows_are_json_serialisable(self):
         row = event_to_wire(JobFinished(2.0, 7, 4, 2.3, 50.0, 50.0, 55.0, 10.0, False))

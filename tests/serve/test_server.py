@@ -32,6 +32,12 @@ def expected_bytes(spec: RunSpec) -> bytes:
     return canonical_result_bytes(result_to_dict(Simulation(spec).run()))
 
 
+def _recorded_rows(spec: RunSpec) -> list[dict]:
+    """The rows EventTraceRecorder produces for an in-process run."""
+    traced = spec.with_instruments(InstrumentSpec.of("event_trace"))
+    return Simulation(traced).run().instrument("event_trace")["events"]
+
+
 @pytest.fixture
 def server(tmp_path):
     with ReproServer(cache_dir=str(tmp_path / "cache")) as srv:
@@ -202,6 +208,13 @@ class TestCacheSharing:
             status = client.wait(job["job_id"])
             assert status["from_cache"] is True
             assert client.result_bytes(job["job_id"]) == body == expected_bytes(SPEC)
+            # The stored body is served as is; aggregates are decoded
+            # from it on demand and still match the in-process bytes.
+            assert client.result_bytes(
+                job["job_id"], aggregates_only=True
+            ) == canonical_result_bytes(
+                result_to_dict(Simulation(SPEC).run().to_aggregates())
+            )
             assert second.simulations_run == 0  # zero simulations: served from disk
             assert second.stats()["cache_hits"] == 1
 
@@ -284,12 +297,7 @@ class TestTelemetryStream:
         assert sentinel["state"] == "done"
         assert sentinel["events"] == len(rows)
         assert sentinel["events_dropped"] == 0
-        recorded = (
-            Simulation(SPEC.with_instruments(InstrumentSpec.of("event_trace")))
-            .run()
-            .instrument("event_trace")["events"]
-        )
-        assert rows == recorded
+        assert rows == _recorded_rows(SPEC)
 
     def test_replay_buffer_bounded_by_quota(self):
         quota = QuotaPolicy(max_events=5)
@@ -298,9 +306,11 @@ class TestTelemetryStream:
             job_id = client.submit(SPEC)["job_id"]
             status = client.wait(job_id)
             assert status["events_recorded"] == 5
-            assert status["events_dropped"] > 0
+            recorded = _recorded_rows(SPEC)
+            assert status["events_dropped"] == len(recorded) - 5
             rows = list(client.stream_events(job_id))
             assert len(rows) == 6  # 5 buffered rows + sentinel
+            assert rows[:5] == recorded[:5]
             assert rows[-1]["events_dropped"] == status["events_dropped"]
 
     def test_sse_format(self, server, client):
@@ -318,5 +328,6 @@ class TestTelemetryStream:
             rows = [json.loads(frame[len(b"data: ") :]) for frame in frames]
             assert rows[-1]["event"] == END_OF_STREAM
             assert len(rows) == rows[-1]["events"] + 1
+            assert rows[:-1] == _recorded_rows(SPEC)
         finally:
             connection.close()

@@ -2,6 +2,7 @@
 fault tolerance (worker exceptions and worker deaths), and the
 aggregates-only / streaming fleet-scale modes."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -15,7 +16,13 @@ from repro.batch import BatchRunner
 from repro.experiments.config import PolicySpec, RunSpec
 from repro.experiments.figures import threshold_grid
 from repro.experiments.runner import ExperimentRunner
-from repro.serialize import result_to_dict
+from repro.faults import FaultPlan, FaultRule, InjectedCrash, injected
+from repro.serialize import (
+    FORMAT_VERSION,
+    canonical_result_bytes,
+    result_to_dict,
+    spec_to_dict,
+)
 
 N_JOBS = 40
 
@@ -79,6 +86,16 @@ def grid_specs() -> list[RunSpec]:
 
 def as_bytes(results) -> list[str]:
     return [json.dumps(result_to_dict(r), sort_keys=True) for r in results]
+
+
+def read_entry(path) -> tuple[dict, bytes]:
+    """Split a cache entry into its JSON header and its canonical body."""
+    line, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(line), body
+
+
+def write_entry(path, header: dict, body: bytes) -> None:
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
 class TestDeterminism:
@@ -221,9 +238,9 @@ class TestDiskCache:
         runner = BatchRunner(max_workers=1, cache_dir=tmp_path)
         runner.run([spec])
         (path,) = tmp_path.glob("*.json")
-        data = json.loads(path.read_text())
-        data["spec"]["beta"] = 0.123  # simulate a stale/foreign entry
-        path.write_text(json.dumps(data))
+        header, body = read_entry(path)
+        header["spec"]["beta"] = 0.123  # simulate a stale/foreign entry
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
         again = BatchRunner(max_workers=1, cache_dir=tmp_path)
         again.run([spec])
         assert again.cache_misses == 1
@@ -267,6 +284,144 @@ class TestDiskCache:
         assert final is not None and result_to_dict(final) == expected
         # No abandoned temp files from the concurrent writers.
         assert not list(tmp_path.glob("*.tmp.*"))
+
+
+ENTRY_SPEC = RunSpec(workload="CTC", n_jobs=N_JOBS, seed=5)
+
+
+@pytest.fixture(scope="module")
+def entry_result():
+    return BatchRunner(max_workers=0).run([ENTRY_SPEC])[0]
+
+
+def _torn_body(path, result):
+    """The ``cache.store`` torn-write chaos rule cutting into the body."""
+    runner = BatchRunner(max_workers=0, cache_dir=path.parent)
+    plan = FaultPlan.of(FaultRule("cache.store", "torn_write", fraction=0.9))
+    with injected(plan), pytest.raises(InjectedCrash):
+        runner.cache_store(ENTRY_SPEC, result)
+    header, body = read_entry(path)
+    assert 0 < len(body) < header["length"]
+
+
+def _flipped_byte(path, result):
+    BatchRunner(max_workers=0, cache_dir=path.parent).cache_store(ENTRY_SPEC, result)
+    header, body = read_entry(path)
+    middle = len(body) // 2
+    write_entry(path, header, body[:middle] + bytes([body[middle] ^ 1]) + body[middle + 1 :])
+
+
+def _wrong_length(path, result):
+    BatchRunner(max_workers=0, cache_dir=path.parent).cache_store(ENTRY_SPEC, result)
+    header, body = read_entry(path)
+    write_entry(path, {**header, "length": header["length"] + 1}, body)
+
+
+def _other_version(path, result):
+    BatchRunner(max_workers=0, cache_dir=path.parent).cache_store(ENTRY_SPEC, result)
+    header, body = read_entry(path)
+    write_entry(path, {**header, "version": FORMAT_VERSION + 1}, body)
+
+
+def _single_document(path, result):
+    """The layout older writers used: one JSON document, no header line."""
+    document = {
+        "version": FORMAT_VERSION,
+        "spec": spec_to_dict(ENTRY_SPEC),
+        "result": result_to_dict(result),
+    }
+    path.write_text(json.dumps(document))
+
+
+def _aggregated_entry(path, result):
+    runner = BatchRunner(max_workers=0, cache_dir=path.parent)
+    runner.cache_store(ENTRY_SPEC, result.to_aggregates())
+
+
+class TestCacheEntryIntegrity:
+    """Every damaged, foreign or unsuitable entry reads as a miss on both
+    load paths, and the next run recomputes it and overwrites it with an
+    entry that verifies."""
+
+    @pytest.mark.parametrize("load", ["cache_load", "cache_load_bytes"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _torn_body,
+            _flipped_byte,
+            _wrong_length,
+            _other_version,
+            _single_document,
+            _aggregated_entry,
+        ],
+    )
+    def test_unusable_entry_is_a_miss_then_overwritten(
+        self, tmp_path, entry_result, damage, load
+    ):
+        runner = BatchRunner(max_workers=0, cache_dir=tmp_path)
+        path = runner._cache_path(ENTRY_SPEC)
+        damage(path, entry_result)
+        assert getattr(runner, load)(ENTRY_SPEC) is None
+        assert (runner.cache_hits, runner.cache_misses) == (0, 1)
+
+        (recomputed,) = runner.run([ENTRY_SPEC])
+        assert recomputed == entry_result
+        header, body = read_entry(path)
+        assert header["length"] == len(body)
+        assert header["sha256"] == hashlib.sha256(body).hexdigest()
+        assert body == canonical_result_bytes(result_to_dict(entry_result))
+
+        fresh = BatchRunner(max_workers=0, cache_dir=tmp_path)
+        assert getattr(fresh, load)(ENTRY_SPEC) is not None
+        assert (fresh.cache_hits, fresh.cache_misses) == (1, 0)
+
+    def test_loads_return_what_was_stored(self, tmp_path, entry_result):
+        runner = BatchRunner(max_workers=0, cache_dir=tmp_path)
+        runner.cache_store(ENTRY_SPEC, entry_result)
+        assert runner.cache_load(ENTRY_SPEC) == entry_result
+        assert runner.cache_load_bytes(ENTRY_SPEC) == canonical_result_bytes(
+            result_to_dict(entry_result)
+        )
+        assert runner.cache_hits == 2
+
+    def test_full_entry_satisfies_aggregates_only_runner(self, tmp_path, entry_result):
+        BatchRunner(max_workers=0, cache_dir=tmp_path).cache_store(
+            ENTRY_SPEC, entry_result
+        )
+        reduced = entry_result.to_aggregates()
+        runner = BatchRunner(max_workers=0, cache_dir=tmp_path, aggregates_only=True)
+        assert runner.cache_load(ENTRY_SPEC) == reduced
+        assert runner.cache_load_bytes(ENTRY_SPEC) == canonical_result_bytes(
+            result_to_dict(reduced)
+        )
+        assert runner.cache_hits == 2
+
+    def test_aggregated_entry_satisfies_aggregates_only_runner(
+        self, tmp_path, entry_result
+    ):
+        reduced = entry_result.to_aggregates()
+        runner = BatchRunner(max_workers=0, cache_dir=tmp_path, aggregates_only=True)
+        runner.cache_store(ENTRY_SPEC, reduced)
+        assert runner.cache_load(ENTRY_SPEC) == reduced
+        assert runner.cache_load_bytes(ENTRY_SPEC) == canonical_result_bytes(
+            result_to_dict(reduced)
+        )
+
+    def test_store_does_not_re_encode_a_given_body(
+        self, tmp_path, entry_result, monkeypatch
+    ):
+        body = canonical_result_bytes(result_to_dict(entry_result))
+
+        def encode_again(result):
+            raise AssertionError("cache_store re-encoded a body it was given")
+
+        monkeypatch.setattr(batch_module, "result_to_dict", encode_again)
+        runner = BatchRunner(max_workers=0, cache_dir=tmp_path)
+        runner.cache_store(ENTRY_SPEC, entry_result, body)
+        header, stored = read_entry(runner._cache_path(ENTRY_SPEC))
+        assert stored == body
+        assert header["aggregated"] is False
+        assert header["spec"] == spec_to_dict(ENTRY_SPEC)
 
 
 class TestFaultTolerance:
@@ -455,9 +610,13 @@ class TestCacheTempFiles:
                 pool.submit(runner.cache_store, spec, result) for _ in range(32)
             ]:
                 future.result()
-        # One final file, valid JSON, no leftover temp files.
+        # One final entry whose header verifies its body, no leftover
+        # temp files.
         (path,) = tmp_path.glob("*.json")
-        json.loads(path.read_text())
+        header, body = read_entry(path)
+        assert header["length"] == len(body)
+        assert header["sha256"] == hashlib.sha256(body).hexdigest()
+        assert body == canonical_result_bytes(result_to_dict(result))
         assert list(tmp_path.glob("*.tmp.*")) == []
         fresh = BatchRunner(max_workers=1, cache_dir=tmp_path)
         assert fresh.run([spec]) == [result]
