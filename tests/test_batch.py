@@ -240,7 +240,7 @@ class TestDiskCache:
         (path,) = tmp_path.glob("*.json")
         header, body = read_entry(path)
         header["spec"]["beta"] = 0.123  # simulate a stale/foreign entry
-        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        write_entry(path, header, body)
         again = BatchRunner(max_workers=1, cache_dir=tmp_path)
         again.run([spec])
         assert again.cache_misses == 1
@@ -304,22 +304,24 @@ def _torn_body(path, result):
     assert 0 < len(body) < header["length"]
 
 
-def _flipped_byte(path, result):
+def _stored_entry(path, result) -> tuple[dict, bytes]:
     BatchRunner(max_workers=0, cache_dir=path.parent).cache_store(ENTRY_SPEC, result)
-    header, body = read_entry(path)
+    return read_entry(path)
+
+
+def _flipped_byte(path, result):
+    header, body = _stored_entry(path, result)
     middle = len(body) // 2
     write_entry(path, header, body[:middle] + bytes([body[middle] ^ 1]) + body[middle + 1 :])
 
 
 def _wrong_length(path, result):
-    BatchRunner(max_workers=0, cache_dir=path.parent).cache_store(ENTRY_SPEC, result)
-    header, body = read_entry(path)
+    header, body = _stored_entry(path, result)
     write_entry(path, {**header, "length": header["length"] + 1}, body)
 
 
 def _other_version(path, result):
-    BatchRunner(max_workers=0, cache_dir=path.parent).cache_store(ENTRY_SPEC, result)
-    header, body = read_entry(path)
+    header, body = _stored_entry(path, result)
     write_entry(path, {**header, "version": FORMAT_VERSION + 1}, body)
 
 
