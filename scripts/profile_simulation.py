@@ -4,8 +4,11 @@ Usage::
 
     python scripts/profile_simulation.py [workload] [n_jobs]
 
-Prints the cProfile hot spots of one baseline + one power-aware run.
-Use this before optimising anything in the scheduler hot path.
+Prints the cProfile hot spots of one baseline run, one power-aware run
+and one conservative-backfilling run with the ``default`` sleep preset,
+the last of which exercises the availability profile and node power
+management.  Use this before optimising anything in the scheduler hot
+path.
 
 Runs go through :meth:`repro.api.Simulation.run` — the same lane
 resolution the CLI, the experiment runner and the batch runner use — so
@@ -19,8 +22,10 @@ region; only the simulation core is measured.
 import cProfile
 import pstats
 import sys
+from dataclasses import replace
 
 from repro.api import Simulation
+from repro.cluster.power import SleepPolicy
 from repro.experiments.config import PolicySpec, RunSpec
 from repro.sim.columnar import fallback_reason
 from repro.sim.lanes import resolve_engine_name
@@ -37,11 +42,16 @@ def executed_lane(simulation: Simulation) -> str:
 
 
 def main(workload: str = "SDSC", n_jobs: int = 5000) -> None:
-    for label, policy in (
-        ("baseline (no DVFS)", PolicySpec.baseline()),
-        ("power-aware DVFS(2, NO)", PolicySpec.power_aware(2.0, None)),
+    power_aware = RunSpec(
+        workload=workload, n_jobs=n_jobs, policy=PolicySpec.power_aware(2.0, None)
+    )
+    for label, spec in (
+        ("baseline (no DVFS)", replace(power_aware, policy=PolicySpec.baseline())),
+        ("power-aware DVFS(2, NO)", power_aware),
+        ("conservative DVFS(2, NO) + default sleep",
+         replace(power_aware, scheduler="conservative", sleep=SleepPolicy.preset("default"))),
     ):
-        simulation = Simulation(RunSpec(workload=workload, n_jobs=n_jobs, policy=policy))
+        simulation = Simulation(spec)
         # len() materialises the trace outside the profile.
         print(f"=== {label}: {workload}, {len(simulation.jobs)} jobs " + "=" * 30)
         print(f"lane: {executed_lane(simulation)}")

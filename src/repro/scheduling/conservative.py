@@ -17,6 +17,9 @@ releases its remaining claim, and each pass merely advances the profile
 origin and copies it.  The rebuild-per-pass implementation lives on as
 :class:`~repro.scheduling.reference.ReferenceConservativeBackfilling`,
 and a differential test pins this scheduler to it schedule-for-schedule.
+Both run on the same :class:`~repro.cluster.profile.AvailabilityProfile`,
+so that differential covers the incremental bookkeeping and the start
+probes; the profile has its own brute-force differential.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ class ConservativeBackfilling(Scheduler):
     def _sanitize_pass(self, now: float) -> None:
         super()._sanitize_pass(now)
         # The incremental running-set profile is this scheduler's extra
-        # structure; a stale block summary would silently misplace
+        # structure; a corrupt breakpoint list would silently misplace
         # reservations on the next replanning pass.
         self._profile.check_consistency()
 

@@ -146,18 +146,19 @@ class JobQueue:
         self._kill(index, victim)
 
     def clear(self) -> None:
+        # Slots at and beyond ``_n`` are always empty with the sentinel
+        # size, so only the used window needs resetting.
+        n = self._n
+        self._jobs[:n] = [None] * n
+        if _np is not None:
+            self._sizes[:n] = _DEAD_SIZE
+        else:  # pragma: no cover - exercised only without numpy
+            self._sizes[:n] = [_DEAD_SIZE] * n
         self._head = 0
         self._n = 0
         self._live = 0
         self.generation += 1
         self._pos.clear()
-        for index in range(len(self._jobs)):
-            self._jobs[index] = None
-        if _np is not None:
-            self._sizes[:] = _DEAD_SIZE
-        else:  # pragma: no cover - exercised only without numpy
-            for index in range(len(self._sizes)):
-                self._sizes[index] = _DEAD_SIZE
 
     def extend(self, jobs: Iterable[Job]) -> None:
         for job in jobs:

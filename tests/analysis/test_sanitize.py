@@ -21,6 +21,7 @@ from repro.cluster.profile import AvailabilityProfile
 from repro.experiments.config import PolicySpec, RunSpec
 from repro.scheduling.job import Job
 from repro.scheduling.queue import JobQueue
+from repro.serialize import canonical_result_bytes, result_to_dict
 from repro.sim.engine import Engine
 from repro.sim.events import EventKind, EventQueue
 
@@ -133,8 +134,25 @@ class TestDetection:
     def test_profile_detects_capacity_violation(self):
         profile = AvailabilityProfile(8)
         profile.reserve(0.0, 10.0, 3)
-        profile._bf[0][0] = 20  # free > total_cpus
-        with pytest.raises(SanitizeError):
+        profile._free[0] = 20  # free > total_cpus
+        with pytest.raises(SanitizeError, match="outside"):
+            profile.check_consistency()
+
+    @pytest.mark.parametrize(
+        "corrupt,match",
+        [
+            # Two adjacent segments left with one free count.
+            (lambda p: p._free.__setitem__(0, p._free[1]), "equal-free"),
+            (lambda p: p._times.reverse(), "strictly increasing"),
+            (lambda p: p._free.append(8), "disagree"),
+        ],
+        ids=["equal-neighbours", "unordered-breakpoints", "misaligned-columns"],
+    )
+    def test_profile_detects_corruption(self, corrupt, match):
+        profile = AvailabilityProfile(8)
+        profile.reserve(5.0, 10.0, 3)
+        corrupt(profile)
+        with pytest.raises(SanitizeError, match=match):
             profile.check_consistency()
 
     def test_job_queue_clean_state_passes(self):
@@ -194,6 +212,20 @@ class TestTransparency:
         assert checked.average_bsld() == plain.average_bsld()
         assert checked.energy.computational == plain.energy.computational
         assert checked.events_processed == plain.events_processed
+
+    def test_sanitized_conservative_sleep_run_is_byte_identical(self):
+        spec = RunSpec(
+            workload="CTC",
+            n_jobs=120,
+            scheduler="conservative",
+            policy=PolicySpec.power_aware(2.0, None),
+            sleep=SleepPolicy.preset("default"),
+        )
+        plain = Simulation(spec).run()
+        checked = Simulation(spec, sanitize=True).run()
+        assert canonical_result_bytes(result_to_dict(checked)) == canonical_result_bytes(
+            result_to_dict(plain)
+        )
 
     def test_sanitized_conservative_run_matches_plain_run(self):
         spec = RunSpec(

@@ -53,9 +53,12 @@ class TestReserve:
     def test_failed_reserve_leaves_profile_unchanged(self):
         profile = make_profile()
         profile.reserve(0.0, 10.0, 6)
+        before = list(profile.segments())
         with pytest.raises(ValueError):
             profile.reserve(5.0, 8.0, 3)
         assert profile.free_at(6.0) == 2  # untouched
+        # Capacity is checked before any breakpoint is inserted.
+        assert list(profile.segments()) == before
 
     def test_empty_interval_rejected(self):
         profile = make_profile()

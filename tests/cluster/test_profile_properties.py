@@ -9,10 +9,10 @@ are load-bearing for every differential test in the suite:
 * ``reserve``/``release`` round-trips restore the profile as a step
   function (segmentation may differ by no-op breakpoints, the function
   may not);
-* the indexed production profile matches the flat
-  :class:`ReferenceAvailabilityProfile` as a step function on arbitrary
-  ``reserve`` / ``release`` / ``advance_origin`` / ``find_start``
-  sequences, across block sizes that force multi-block indexing;
+* the profile matches a brute-force oracle — ``free(t)`` summed over the
+  live reservations, ``find_start`` as the first feasible candidate
+  time — on arbitrary ``reserve`` / ``release`` / ``advance_origin`` /
+  ``find_start`` sequences, and stays compacted after every step;
 * compaction keeps the breakpoint count bounded by the number of
   *live* reservations — not by how many the profile has ever seen.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.profile import AvailabilityProfile, ReferenceAvailabilityProfile
+from repro.cluster.profile import AvailabilityProfile
 
 TOTAL_CPUS = 16
 
@@ -154,7 +154,61 @@ def test_over_reserve_rejected():
         profile.reserve(5.0, 6.0, 1)
 
 
-# -- indexed profile vs flat reference ------------------------------------------
+# -- brute-force oracle differential ----------------------------------------
+
+
+class BruteForceProfile:
+    """The profile contract recomputed from scratch on every query.
+
+    Holds the live reservations as ``[start, end, size]`` entries and
+    shares no code with :class:`AvailabilityProfile`: ``free(t)`` is a
+    sum over the list, and ``find_start`` tries every time an optimal
+    start can take — ``earliest`` itself or a moment some reservation
+    ends — in order.
+    """
+
+    def __init__(self, total_cpus: int) -> None:
+        self.total_cpus = total_cpus
+        self.origin = 0.0
+        self.live: list[list] = []
+
+    def free_at(self, time: float) -> int:
+        time = max(time, self.origin)
+        return self.total_cpus - sum(z for s, e, z in self.live if s <= time < e)
+
+    def min_free(self, start: float, end: float) -> int:
+        # Free capacity only drops where a reservation begins.
+        points = {start} | {s for s, _e, _z in self.live if start < s < end}
+        return min(self.free_at(t) for t in points)
+
+    def fits(self, start: float, duration: float, size: int) -> bool:
+        return self.min_free(start, start + duration) >= size
+
+    def find_start(self, earliest: float, duration: float, size: int) -> float:
+        earliest = max(earliest, self.origin)
+        candidates = sorted({earliest} | {e for _s, e, _z in self.live if e > earliest})
+        return next(t for t in candidates if self.fits(t, duration, size))
+
+    def reserve(self, start: float, end: float, size: int) -> None:
+        self.live.append([start, end, size])
+
+    def release(self, start: float, end: float, size: int) -> None:
+        self.live.remove([start, end, size])
+
+    def advance_origin(self, time: float) -> None:
+        if time <= self.origin:
+            return
+        self.origin = time
+        self.live = [[max(s, time), e, z] for s, e, z in self.live if e > time]
+
+
+def offsets(min_value: float, max_value: float):
+    """Times on a coarse grid (so boundaries coincide exactly) or anywhere."""
+    grid = st.integers(min_value=1 if min_value else 0, max_value=int(max_value) // 10)
+    return st.one_of(
+        grid.map(lambda k: 10.0 * k),
+        st.floats(min_value=min_value, max_value=max_value, allow_nan=False),
+    )
 
 
 @st.composite
@@ -166,66 +220,62 @@ def op_sequence(draw, max_ops: int = 30):
     """
     n = draw(st.integers(min_value=1, max_value=max_ops))
     ops = []
-    live = []
-    origin = 0.0
-    # A throwaway reference tracks feasibility so generated sequences
-    # never violate the profile contract.
-    tracker = ReferenceAvailabilityProfile(TOTAL_CPUS)
+    # The oracle decides feasibility, so generated sequences never
+    # violate the profile contract and never depend on the code under test.
+    tracker = BruteForceProfile(TOTAL_CPUS)
     for _ in range(n):
         choice = draw(st.integers(min_value=0, max_value=9))
-        if choice <= 4 or not live:
-            start = origin + draw(st.floats(min_value=0.0, max_value=300.0, allow_nan=False))
-            duration = draw(st.floats(min_value=0.001, max_value=150.0, allow_nan=False))
+        origin = tracker.origin
+        if choice <= 4 or not tracker.live:
+            start = origin + draw(offsets(0.0, 300.0))
+            duration = draw(offsets(0.001, 150.0))
             size = draw(st.integers(min_value=1, max_value=TOTAL_CPUS))
-            if tracker.min_free(start, start + duration) >= size:
+            if tracker.fits(start, duration, size):
                 tracker.reserve(start, start + duration, size)
                 ops.append(("reserve", start, start + duration, size))
-                live.append([start, start + duration, size])
         elif choice <= 6:
-            index = draw(st.integers(min_value=0, max_value=len(live) - 1))
-            start, end, size = live.pop(index)
-            start = max(start, origin)
-            if start < end:
-                tracker.release(start, end, size)
-                ops.append(("release", start, end, size))
+            index = draw(st.integers(min_value=0, max_value=len(tracker.live) - 1))
+            start, end, size = tracker.live[index]
+            tracker.release(start, end, size)
+            ops.append(("release", start, end, size))
         elif choice == 7:
-            time = origin + draw(st.floats(min_value=0.0, max_value=200.0, allow_nan=False))
-            if all(end > time for _s, end, _z in live):
+            time = origin + draw(offsets(0.0, 200.0))
+            if all(end > time for _s, end, _z in tracker.live):
                 tracker.advance_origin(time)
                 ops.append(("advance_origin", time))
-                origin = tracker.origin
-                for entry in live:
-                    entry[0] = max(entry[0], origin)
         else:
-            earliest = origin + draw(st.floats(min_value=0.0, max_value=400.0, allow_nan=False))
-            duration = draw(st.floats(min_value=0.0, max_value=120.0, allow_nan=False))
+            earliest = origin + draw(offsets(0.0, 400.0))
+            duration = draw(offsets(0.0, 120.0))
             size = draw(st.integers(min_value=1, max_value=TOTAL_CPUS))
             ops.append(("find_start", earliest, duration, size))
     return ops
 
 
-@given(op_sequence(), st.sampled_from([2, 3, 5, 64]))
-@settings(max_examples=80)
-def test_indexed_profile_matches_reference(ops, block_size):
-    """The indexed profile and the flat reference agree operation-for-operation."""
-    indexed = AvailabilityProfile(TOTAL_CPUS, block_size=block_size)
-    reference = ReferenceAvailabilityProfile(TOTAL_CPUS)
+@given(op_sequence())
+@settings(max_examples=120)
+def test_profile_matches_bruteforce_oracle(ops):
+    """The profile and the brute-force oracle agree operation for operation."""
+    profile = AvailabilityProfile(TOTAL_CPUS)
+    oracle = BruteForceProfile(TOTAL_CPUS)
     for op in ops:
         name, *args = op
         if name == "find_start":
-            assert indexed.find_start(*args) == reference.find_start(*args), op
+            assert profile.find_start(*args) == oracle.find_start(*args), op
             continue
-        getattr(indexed, name)(*args)
-        getattr(reference, name)(*args)
-        probes = sorted(
-            {t for t, _e, _f in indexed.segments()}
-            | {t for t, _e, _f in reference.segments()}
+        getattr(profile, name)(*args)
+        getattr(oracle, name)(*args)
+        profile.check_consistency()
+        assert profile.origin == oracle.origin, op
+        edges = sorted(
+            {t for t, _e, _f in profile.segments()}
+            | {t for s, e, _z in oracle.live for t in (s, e)}
         )
-        probes += [p + 0.037 for p in probes]
-        for probe in probes:
-            assert indexed.free_at(probe) == reference.free_at(probe), (op, probe)
-        lo = reference.origin
-        assert indexed.min_free(lo, lo + 500.0) == reference.min_free(lo, lo + 500.0)
+        for probe in edges + [t + 0.037 for t in edges]:
+            assert profile.free_at(probe) == oracle.free_at(probe), (op, probe)
+        for lo, hi in zip(edges, edges[1:] + [edges[-1] + 500.0], strict=True):
+            assert profile.min_free(lo, hi) == oracle.min_free(lo, hi), (op, lo, hi)
+        lo = oracle.origin
+        assert profile.min_free(lo, lo + 500.0) == oracle.min_free(lo, lo + 500.0)
 
 
 # -- compaction bounds: memory follows live reservations, not history ----------
@@ -241,7 +291,7 @@ def test_breakpoint_count_bounded_by_live_reservations():
     import random
 
     rng = random.Random(4)
-    profile = AvailabilityProfile(TOTAL_CPUS, block_size=8)
+    profile = AvailabilityProfile(TOTAL_CPUS)
     live = []
     clock = 0.0
     for step in range(4000):

@@ -159,6 +159,28 @@ def test_compaction_preserves_order_and_membership():
     assert queue[0] is before[0]
 
 
+def test_clear_after_growth_and_compaction_leaves_a_reusable_queue():
+    queue = JobQueue()
+    jobs = [make_job(i, size=1 + i % 7) for i in range(1, 300)]
+    queue.extend(jobs)  # grows past the initial capacity
+    for job in jobs[::2]:
+        queue.remove(job)
+    queue.extend(make_job(1000 + i) for i in range(200))  # compacts
+    generation = queue.generation
+    queue.clear()
+    queue.check_consistency()
+    assert len(queue) == 0 and not queue and list(queue) == []
+    assert queue.generation > generation
+    assert queue.backfill_candidates(64, 64, 1e9) == ()
+    again = [make_job(5000 + i, size=2) for i in range(100)]
+    queue.extend(again)
+    queue.check_consistency()
+    assert list(queue) == again
+    assert queue.popleft() is again[0]
+    # Candidates are the non-head jobs, all of which pass this gate.
+    assert [queue.job_at(int(p)) for p in queue.backfill_candidates(2, 2, 1e9)] == again[2:]
+
+
 def test_extend_positions_appends_new_tail():
     queue = JobQueue()
     for index in range(1, 80):
