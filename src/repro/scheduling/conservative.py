@@ -186,7 +186,7 @@ class ConservativeBackfilling(Scheduler):
             if start <= now and self._pool.fits(job.size):
                 started = self._start_job(now, job, gear)
                 stall = started.segment_start - now
-                if stall > 0.0:
+                if stall > 0.0 and profile.fits_at(end, stall, job.size):
                     # The start roused sleeping nodes: its true window
                     # includes the wake stall, and later queue entries in
                     # this very pass must not plan over the boot (future
@@ -196,7 +196,11 @@ class ConservativeBackfilling(Scheduler):
                     # stall through estimated_end).  Keyed on the actual
                     # stall, never on estimate overruns, so zero-wake
                     # (and unclamped) schedules stay byte-identical to a
-                    # sleep-free run.
+                    # sleep-free run.  A job backfilled into a hole that
+                    # its wake-blind window fills exactly overruns the
+                    # reservation behind the hole: that reservation is
+                    # already broken, so this pass keeps the wake-blind
+                    # window and the next pass replans it behind the boot.
                     end += stall
             else:
                 still_waiting.append(job)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.machine import Machine
+from repro.cluster.power import SleepPolicy
 from repro.core.frequency_policy import BsldThresholdPolicy, FixedGearPolicy
 from repro.scheduling.base import SchedulerConfig
 from repro.scheduling.conservative import ConservativeBackfilling
@@ -10,10 +11,12 @@ from repro.scheduling.easy import EasyBackfilling
 from tests.conftest import make_job, random_workload
 
 
-def run_conservative(jobs, cpus=4, policy=None):
+def run_conservative(jobs, cpus=4, policy=None, sleep=None):
     machine = Machine("m", cpus)
     scheduler = ConservativeBackfilling(
-        machine, policy or FixedGearPolicy(), config=SchedulerConfig(validate=True)
+        machine,
+        policy or FixedGearPolicy(),
+        config=SchedulerConfig(validate=True, sleep=sleep),
     )
     return scheduler.run(jobs)
 
@@ -53,6 +56,21 @@ class TestConservativeScenarios:
             make_job(2, submit=1.0, runtime=10.0, size=4),
         ]
         assert starts(run_conservative(jobs))[2] == 50.0
+
+    def test_wake_stall_overrunning_a_reservation(self):
+        # Job 3 fills the hole [500, 1000) before job 2's reservation
+        # exactly, but its two processors have slept since t=10, so the
+        # start stalls 5 s and overruns that reservation; job 2 then
+        # starts once job 3's stretched window ends.
+        jobs = [
+            make_job(1, submit=0.0, runtime=1000.0, size=2),
+            make_job(2, submit=1.0, runtime=100.0, size=4),
+            make_job(3, submit=500.0, runtime=500.0, size=2),
+        ]
+        sleep = SleepPolicy(sleep_after_seconds=10.0, wake_seconds=5.0)
+        result = run_conservative(jobs, sleep=sleep)
+        assert starts(result) == {1: 0.0, 2: 1005.0, 3: 500.0}
+        assert result.energy.sleep.wake_delayed_jobs == 1
 
     def test_gear_dependent_wait_probe(self):
         """Under conservative BF the policy sees gear-dependent waits: a
