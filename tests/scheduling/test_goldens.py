@@ -50,8 +50,11 @@ SLEEP_SDSC_POLICY = SleepPolicy(
 #: Two pinned workloads x {no-DVFS baseline, the paper's DVFS(2, NO)},
 #: plus the reactive power-capping scenario on SDSC, the node-sleep
 #: scenario on SDSC DVFS(2, NO), and conservative backfilling with the
-#: ``default`` sleep preset on CTC DVFS(2, NO) — the one golden that
-#: runs on the availability profile.
+#: ``default`` sleep preset on CTC DVFS(2, NO).  Two more conservative
+#: goldens pin the planning paths the sleep one cannot: a WQ threshold
+#: of 4 on SDSC, whose queue crosses it so the BSLD policy's WQ gate
+#: flips mid-run, and the ``powernap`` preset on CTC, whose nonzero wake
+#: latency stalls starts so the in-pass stall extension runs.
 GOLDEN_SPECS: dict[str, RunSpec] = {
     "sdsc_300_nodvfs": RunSpec(
         workload="SDSC", n_jobs=300, seed=1, policy=PolicySpec.baseline()
@@ -87,6 +90,21 @@ GOLDEN_SPECS: dict[str, RunSpec] = {
         policy=PolicySpec.power_aware(2.0, None),
         sleep=SleepPolicy.preset("default"),
     ),
+    "sdsc_300_conservative_wq4": RunSpec(
+        workload="SDSC",
+        n_jobs=300,
+        seed=1,
+        scheduler="conservative",
+        policy=PolicySpec.power_aware(1.5, 4),
+    ),
+    "ctc_300_conservative_powernap": RunSpec(
+        workload="CTC",
+        n_jobs=300,
+        seed=1,
+        scheduler="conservative",
+        policy=PolicySpec.power_aware(2.0, None),
+        sleep=SleepPolicy.preset("powernap"),
+    ),
 }
 
 
@@ -114,6 +132,29 @@ def test_sleep_golden_actually_sleeps_and_stalls():
     assert breakdown.wake_delay_seconds_total > 0.0
     assert asleep.outcomes != awake.outcomes  # latency perturbed the schedule
     assert asleep.energy.idle < awake.energy.idle  # and sleeping saved energy
+
+
+def _peak_queue_depth(result) -> int:
+    """Most jobs waiting at once, sampled at every submit instant."""
+    spans = [(o.job.submit_time, o.start_time) for o in result.outcomes]
+    return max(
+        sum(1 for submit, start in spans if submit <= t < start) for t, _ in spans
+    )
+
+
+def test_conservative_goldens_reach_their_paths():
+    """The WQ golden reduces jobs while its queue also grows past the
+    threshold (so the gate flips both ways), and the powernap golden
+    genuinely stalls starts on wake-ups."""
+    wq = Simulation(GOLDEN_SPECS["sdsc_300_conservative_wq4"]).run()
+    assert wq.reduced_jobs > 0
+    # wq_size excludes the candidate: depth 6 means 5 others are waiting.
+    assert _peak_queue_depth(wq) > 4 + 1
+    nap = Simulation(GOLDEN_SPECS["ctc_300_conservative_powernap"]).run()
+    breakdown = nap.energy.sleep
+    assert breakdown is not None
+    assert breakdown.wake_delayed_jobs > 0
+    assert breakdown.wake_delay_seconds_total > 0.0
 
 
 def test_powercap_golden_actually_caps():
