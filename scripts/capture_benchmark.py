@@ -4,27 +4,29 @@ Usage::
 
     python scripts/capture_benchmark.py                      # full capture
     python scripts/capture_benchmark.py --scales 1000,5000   # quicker CI run
-    python scripts/capture_benchmark.py --output BENCH_5.json
+    python scripts/capture_benchmark.py --output BENCH_6.json
 
 Measures jobs/second of the scheduler hot path through the
 :class:`repro.api.Simulation` facade for every (workload, scale,
 policy) combination — the calibrated paper traces at ``--scales`` plus
 the ``synthetic-xl`` scale-out traces at ``--xl-scales`` (the
 million-job regime) — and end-to-end :class:`repro.batch.BatchRunner`
-throughput over the standard grid.  Each cell also records its peak
-simulation memory: ``tracemalloc`` distorts timing, so the peak is
-taken from one *extra* untimed run, and the process-wide ``ru_maxrss``
-high-water mark is snapshotted per cell (monotonic across the
-capture).  Trace generation happens outside the timed region and is
+throughput over the standard grid.  Conservative-backfilling rows (CTC
+and SDSC at 5k jobs, DVFS(2,NO)) run on the reference core, the core
+that runs conservative specs, whatever the scale flags say.  Each cell
+also records its peak simulation memory: ``tracemalloc`` distorts
+timing, so the peak is taken from one *extra* untimed run, and the
+process-wide ``ru_maxrss`` high-water mark is snapshotted per cell
+(monotonic across the capture).  Trace generation happens outside the timed region and is
 memoised on disk when ``REPRO_WORKLOAD_CACHE_DIR`` is set; each serial
 cell reports the best of ``--repeat`` runs, timed in interleaved
 rounds across cells so one host-load phase cannot bias a single cell
 (see :class:`SerialCell`).
 
-The committed ``BENCH_5.json`` at the repository root is the perf
-trajectory record for this PR; regenerate it on comparable hardware
+The newest committed ``BENCH_*.json`` at the repository root is the
+perf trajectory record; regenerate it on comparable hardware
 before claiming a speedup or a regression.  ``--floor`` exits non-zero
-if any serial cell falls below the given jobs/s (the CI large-scale
+if any EASY serial cell falls below the given jobs/s (the CI large-scale
 job prints the floor check into its summary).
 
 The batch-RSS rows compare the parent-process peak RSS of a sweep
@@ -62,6 +64,11 @@ POLICIES: tuple[tuple[str, PolicySpec], ...] = (
 
 #: The in-engine node-sleep cell configuration (default preset).
 SLEEP_POLICY = SleepPolicy()
+
+#: Conservative-backfilling cells ``(workload, n_jobs)``, at the DVFS
+#: policy on the reference core.  Their run time grows with queue depth
+#: squared, so they stay at 5k jobs.
+CONSERVATIVE_CELLS: tuple[tuple[str, int], ...] = (("CTC", 5000), ("SDSC", 5000))
 
 
 def max_rss_mb() -> float:
@@ -105,16 +112,18 @@ class SerialCell:
 
     def __init__(self, workload: str, n_jobs: int, label: str, policy: PolicySpec,
                  repeat: int, source: str = "synthetic",
-                 sleep: SleepPolicy | None = None, engine: str = "reference") -> None:
+                 sleep: SleepPolicy | None = None, engine: str = "reference",
+                 scheduler: str = "easy") -> None:
         self.workload = workload
         self.n_jobs = n_jobs
         self.label = label
         self.repeat = repeat
         self.source = source
         self.engine = engine
+        self.scheduler = scheduler
         self.best = float("inf")
         spec = RunSpec(workload=workload, n_jobs=n_jobs, policy=policy, source=source,
-                       sleep=sleep, engine=engine)
+                       sleep=sleep, engine=engine, scheduler=scheduler)
         self.simulation = Simulation(spec)
         load_start = time.perf_counter()
         self.jobs = self.simulation.jobs  # materialise outside the timed region
@@ -136,6 +145,7 @@ class SerialCell:
             "source": self.source,
             "n_jobs": self.n_jobs,
             "policy": self.label,
+            "scheduler": self.scheduler,
             "engine": self.engine,
             "mode": "serial",
             "seconds": round(self.best, 4),
@@ -239,7 +249,7 @@ def measure_batch_rss(workload: str, n_jobs: int, workers: int) -> list[dict]:
 
 def print_cell(cell: dict) -> None:
     print(f"{cell['workload']:>12} x {cell['n_jobs']:>7} {cell['policy']:<12} "
-          f"[{cell['source']}/{cell['engine']}] {cell['seconds']:>8.3f}s  "
+          f"[{cell['source']}/{cell['scheduler']}/{cell['engine']}] {cell['seconds']:>8.3f}s  "
           f"{cell['jobs_per_sec']:>10.0f} jobs/s  "
           f"peak {cell['peak_mem_mb']:>7.1f} MiB")
 
@@ -295,8 +305,8 @@ def main(argv: list[str] | None = None) -> int:
                              "peak RSS by less than X times")
     parser.add_argument("--_rss-probe", choices=("full", "aggregates"), default=None,
                         help=argparse.SUPPRESS)  # internal child mode
-    parser.add_argument("--output", default="BENCH_5.json",
-                        help="output path (default: BENCH_5.json)")
+    parser.add_argument("--output", default="BENCH_6.json",
+                        help="output path (default: BENCH_6.json)")
     args = parser.parse_args(argv)
 
     if getattr(args, "_rss_probe") is not None:
@@ -334,6 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         for label, policy in POLICIES
         for engine in engines
     ]
+    dvfs_label, dvfs_policy = POLICIES[1]
     sleep_pair: tuple[SerialCell, SerialCell] | None = None
     if args.sleep_workload:
         # The in-engine node-sleep cell, paired with a sleep-disabled
@@ -342,7 +353,6 @@ def main(argv: list[str] | None = None) -> int:
         # The twin gets its own label: it may coincide with a regular
         # scales cell, and duplicate (workload, n_jobs, policy) keys in
         # the record would be ambiguous for trend tooling.
-        dvfs_label, dvfs_policy = POLICIES[1]
         disabled = SerialCell(args.sleep_workload, args.sleep_scale,
                               dvfs_label + " [sleep-ref]", dvfs_policy, args.repeat)
         enabled = SerialCell(args.sleep_workload, args.sleep_scale,
@@ -350,6 +360,11 @@ def main(argv: list[str] | None = None) -> int:
                              sleep=SLEEP_POLICY)
         sleep_pair = (disabled, enabled)
         cells += [disabled, enabled]
+    cells += [
+        SerialCell(workload, n_jobs, dvfs_label, dvfs_policy, args.repeat,
+                   scheduler="conservative")
+        for workload, n_jobs in CONSERVATIVE_CELLS
+    ]
     serial = measure_serial_cells(cells)
 
     batch = []
@@ -380,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{sleep_overhead_pct:+.1f}% vs the sleep-disabled twin")
 
     record = {
-        "schema": "repro-bench/5",
+        "schema": "repro-bench/6",
         "captured_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "environment": {
             "python": sys.version.split()[0],
@@ -396,6 +411,7 @@ def main(argv: list[str] | None = None) -> int:
             "xl_repeat": args.xl_repeat,
             "policies": [label for label, _ in POLICIES],
             "engines": engines,
+            "conservative_cells": [list(cell) for cell in CONSERVATIVE_CELLS],
         },
         "serial": serial,
         "batch": batch,
@@ -410,7 +426,10 @@ def main(argv: list[str] | None = None) -> int:
 
     failed = False
     if args.floor is not None:
-        slowest = min(serial, key=lambda cell: cell["jobs_per_sec"])
+        # The floor guards the EASY hot path; conservative cells run
+        # an order of magnitude slower by design.
+        easy_rows = [cell for cell in serial if cell["scheduler"] == "easy"]
+        slowest = min(easy_rows, key=lambda cell: cell["jobs_per_sec"])
         verdict = "PASS" if slowest["jobs_per_sec"] >= args.floor else "FAIL"
         print(f"floor check [{verdict}]: slowest serial cell "
               f"{slowest['workload']}x{slowest['n_jobs']} {slowest['policy']} at "

@@ -148,6 +148,17 @@ class FrequencyPolicy(ABC):
     def select_gear(self, job: Job, ctx: SchedulingContext) -> Gear | None:
         """The gear to schedule ``job`` at, or ``None`` to skip it."""
 
+    def wq_gate(self, wq_size: int) -> object:
+        """The part of :meth:`select_gear` that depends on ``ctx.wq_size``.
+
+        Two queue lengths with equal gates yield equal decisions when
+        every other context input is equal; conservative backfilling
+        reuses a plan across arrivals only while the gate holds.  The
+        default is the size itself, so a policy that does not override
+        this never has a plan reused once the queue grows.
+        """
+        return wq_size
+
     def describe(self) -> str:
         return type(self).__name__
 
@@ -178,6 +189,9 @@ class FixedGearPolicy(FrequencyPolicy):
         feasible = ctx.feasible
         if feasible is _always_feasible or feasible(self._gear):
             return self._gear
+        return None
+
+    def wq_gate(self, wq_size: int) -> object:
         return None
 
     def describe(self) -> str:
@@ -312,14 +326,9 @@ class BsldThresholdPolicy(FrequencyPolicy):
             threshold=self.bsld_time_threshold,
         )
 
-    def _reduction_allowed(self, ctx: SchedulingContext) -> bool:
-        return self.wq_threshold is None or ctx.wq_size <= self.wq_threshold
-
-    def _top_needs_bsld(self, ctx: SchedulingContext) -> bool:
-        """Whether scheduling at Ftop is itself gated by the BSLD check."""
-        if ctx.must_schedule:
-            return False  # reservations always fall back to Ftop
-        return self.strict_top_backfill
+    def wq_gate(self, wq_size: int) -> object:
+        """Whether reduced gears are tried at all (the WQ threshold)."""
+        return self.wq_threshold is None or wq_size <= self.wq_threshold
 
     def describe(self) -> str:
         wq = "NO" if self.wq_threshold is None else str(self.wq_threshold)
@@ -371,6 +380,9 @@ class GearCappedPolicy(FrequencyPolicy):
         if ctx.must_schedule or ctx.feasible(capped):
             return capped
         return None
+
+    def wq_gate(self, wq_size: int) -> object:
+        return self._inner.wq_gate(wq_size)
 
     def describe(self) -> str:
         return f"{self._inner.describe()} | cap<={self._max_frequency:g}GHz"

@@ -62,6 +62,9 @@ class UtilizationTriggeredPolicy(FrequencyPolicy):
             return self.gears.top
         return None
 
+    def wq_gate(self, wq_size: int) -> object:
+        return None
+
     def _gear_for_utilization(self, utilization: float) -> Gear:
         ladder = self.gears.ascending()
         for bound, index in self._steps:

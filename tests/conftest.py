@@ -146,3 +146,88 @@ def workload_strategy(draw, max_jobs: int = 25, max_cpus: int = 8):
             )
         )
     return jobs
+
+
+def _burst_jobs(blockers, bursts) -> list[Job]:
+    """Jobs for :func:`burst_workload` / :func:`burst_workload_strategy`.
+
+    ``blockers`` are ``(size, runtime)`` jobs submitted at t=0, which
+    keep the machine busy; ``bursts`` are ``(gap, members)`` groups, each
+    ``gap`` seconds after the previous one, whose ``members`` are
+    ``(offset, size, runtime, overestimate)`` arrivals a few seconds apart.
+    """
+    jobs = []
+    for size, runtime in blockers:
+        jobs.append(
+            Job(job_id=len(jobs) + 1, submit_time=0.0, runtime=runtime,
+                requested_time=runtime, size=size)
+        )
+    clock = 0.0
+    for gap, members in bursts:
+        clock += gap
+        for offset, size, runtime, over in members:
+            clock += offset
+            jobs.append(
+                Job(job_id=len(jobs) + 1, submit_time=clock, runtime=runtime,
+                    requested_time=runtime * over, size=size)
+            )
+    return jobs
+
+
+def burst_workload(seed: int, cpus: int, *, n_bursts: int = 6) -> list[Job]:
+    """Bursts of long-requested arrivals behind long-running blockers.
+
+    The queue repeatedly fills up within a burst and drains between
+    bursts, and the queued jobs' waits stay short against their
+    requested times, so BSLD policies reduce gears while the queue
+    length crosses small WQ thresholds in both directions.
+    """
+    rng = random.Random(seed)
+    blockers = [
+        (rng.randint(1, cpus), rng.uniform(2000.0, 20000.0))
+        for _ in range(rng.randint(1, 3))
+    ]
+    bursts = [
+        (
+            rng.uniform(0.0, 6000.0),
+            [
+                (rng.uniform(0.0, 30.0), rng.randint(1, cpus),
+                 rng.uniform(500.0, 15000.0), rng.uniform(1.0, 3.0))
+                for _ in range(rng.randint(1, 8))
+            ],
+        )
+        for _ in range(n_bursts)
+    ]
+    return _burst_jobs(blockers, bursts)
+
+
+@st.composite
+def burst_workload_strategy(draw, cpus: int = 8, max_bursts: int = 5):
+    """Hypothesis twin of :func:`burst_workload`."""
+    blockers = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=cpus),
+                st.floats(min_value=2000.0, max_value=20000.0),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    member = st.tuples(
+        st.floats(min_value=0.0, max_value=30.0),
+        st.integers(min_value=1, max_value=cpus),
+        st.floats(min_value=500.0, max_value=15000.0),
+        st.floats(min_value=1.0, max_value=3.0),
+    )
+    bursts = draw(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=6000.0),
+                st.lists(member, min_size=1, max_size=8),
+            ),
+            min_size=1,
+            max_size=max_bursts,
+        )
+    )
+    return _burst_jobs(blockers, bursts)

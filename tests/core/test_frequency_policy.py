@@ -5,9 +5,12 @@ import pytest
 from repro.core.frequency_policy import (
     BsldThresholdPolicy,
     FixedGearPolicy,
+    FrequencyPolicy,
+    GearCappedPolicy,
     NO_WQ_LIMIT,
     SchedulingContext,
 )
+from repro.core.util_policy import UtilizationTriggeredPolicy
 from repro.core.gears import PAPER_GEAR_SET
 from repro.power.time_model import BetaTimeModel
 from tests.conftest import make_job
@@ -108,6 +111,28 @@ class TestWqThreshold:
         job = make_job(runtime=5000.0, requested=5000.0)
         policy = bind(BsldThresholdPolicy(2.0, NO_WQ_LIMIT))
         assert policy.select_gear(job, ctx(wq=10**6)).frequency == 0.8
+
+    def test_wq_gate_flips_exactly_where_selection_does(self):
+        """The gate equals across WQ sizes exactly when decisions may."""
+        job = make_job(runtime=5000.0, requested=5000.0)
+        policy = bind(BsldThresholdPolicy(3.0, wq_threshold=4))
+        for wq in range(8):
+            reduced = policy.select_gear(job, ctx(wq=wq)).frequency < 2.3
+            assert policy.wq_gate(wq) == reduced
+        assert bind(BsldThresholdPolicy(2.0, NO_WQ_LIMIT)).wq_gate(10**6)
+        capped = bind(GearCappedPolicy(BsldThresholdPolicy(3.0, 4), 1.4))
+        assert [capped.wq_gate(wq) for wq in (4, 5)] == [True, False]
+
+    def test_wq_blind_policies_have_a_constant_gate(self):
+        for policy in (FixedGearPolicy(), UtilizationTriggeredPolicy()):
+            assert policy.wq_gate(0) == policy.wq_gate(10**6)
+
+    def test_default_gate_is_the_size_itself(self):
+        class Custom(FrequencyPolicy):
+            def select_gear(self, job, ctx):
+                return None
+
+        assert Custom().wq_gate(3) != Custom().wq_gate(4)
 
 
 class TestFeasibility:

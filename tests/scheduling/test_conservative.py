@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.analysis import sanitize
+from repro.api import Simulation
 from repro.cluster.machine import Machine
 from repro.cluster.power import SleepPolicy
 from repro.core.frequency_policy import BsldThresholdPolicy, FixedGearPolicy
+from repro.experiments.config import PolicySpec, RunSpec
 from repro.scheduling.base import SchedulerConfig
 from repro.scheduling.conservative import ConservativeBackfilling
 from repro.scheduling.easy import EasyBackfilling
@@ -124,3 +127,42 @@ class TestConservativeVsEasy:
                         f"arrival delayed job {job_id}: {promised} -> {after[job_id]}"
                     )
         assert arrival_passes > 0
+
+
+class _CountingPolicy(BsldThresholdPolicy):
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.calls = 0
+
+    def select_gear(self, job, ctx):
+        self.calls += 1
+        return super().select_gear(job, ctx)
+
+
+#: ``select_gear`` calls of the CTC-1000 run below when every pass
+#: replanned the whole queue from scratch.
+FULL_REPLAN_SELECT_GEAR_CALLS = 27764
+
+
+def test_plan_reuse_cuts_gear_selections(monkeypatch):
+    """Arrival-only passes reuse the kept plan and select gears for the
+    new jobs only: at most 80% of the full-replan call count on a fixed
+    conservative + sleep trace.  Counts are host-independent, so this
+    fails exactly when reuse stops firing."""
+    # The sanitizer re-derives every kept plan with extra selections.
+    monkeypatch.setattr(sanitize, "_ENABLED", False)
+    spec = RunSpec(
+        workload="CTC",
+        n_jobs=1000,
+        seed=1,
+        scheduler="conservative",
+        policy=PolicySpec.power_aware(2.0, None),
+        sleep=SleepPolicy.preset("default"),
+    )
+    simulation = Simulation(spec)
+    policy = _CountingPolicy(2.0, None)
+    scheduler = ConservativeBackfilling(
+        simulation.machine, policy, config=SchedulerConfig(sleep=spec.sleep)
+    )
+    scheduler.run(simulation.jobs)
+    assert policy.calls <= 0.8 * FULL_REPLAN_SELECT_GEAR_CALLS, policy.calls

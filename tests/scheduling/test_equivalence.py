@@ -21,7 +21,12 @@ from repro.scheduling.reference import (
     ReferenceConservativeBackfilling,
     ReferenceEasyBackfilling,
 )
-from tests.conftest import random_workload, workload_strategy
+from tests.conftest import (
+    burst_workload,
+    burst_workload_strategy,
+    random_workload,
+    workload_strategy,
+)
 
 POLICIES = {
     "nodvfs": lambda: FixedGearPolicy(),
@@ -173,3 +178,76 @@ def test_conservative_equivalence_property_bsld(jobs):
 @settings(max_examples=20)
 def test_conservative_equivalence_property_bsld_no_limit(jobs):
     assert_identical_conservative_schedules(jobs, 4, POLICIES["bsld(3,NO)"])
+
+
+# -- conservative plan reuse across arrivals: the WQ gate ----------------------
+#
+# Fast conservative keeps a pass's plan and, on arrival-only passes,
+# plans just the new tail; that is exact only while the policy's WQ gate
+# gives the same answer for the grown queue.  Bursts behind long-running
+# blockers reduce queued jobs' gears while the queue crosses the
+# threshold, so a reused plan that ignored the gate would keep reduced
+# (or top-gear) reservations the full replan changes.
+
+WQ_FLIP_FACTORIES = {
+    "bsld(3,0)": lambda: BsldThresholdPolicy(3.0, 0),
+    "bsld(3,1)": lambda: BsldThresholdPolicy(3.0, 1),
+    "bsld(2,4)": lambda: BsldThresholdPolicy(2.0, 4),
+}
+
+
+def assert_conservative_matches_reference(jobs, cpus, policy_factory, validate):
+    machine = Machine("m", cpus)
+    config = SchedulerConfig(validate=validate)
+    fast_scheduler = ConservativeBackfilling(machine, policy_factory(), config=config)
+    fast = fast_scheduler.run(jobs)
+    reference_scheduler = ReferenceConservativeBackfilling(
+        machine, policy_factory(), config=config
+    )
+    reference = reference_scheduler.run(jobs)
+    assert [(o.job.job_id, o.start_time, o.gear) for o in fast.outcomes] == [
+        (o.job.job_id, o.start_time, o.gear) for o in reference.outcomes
+    ]
+    if validate:
+        # Pass for pass, the kept reservations equal the full replan's.
+        assert fast_scheduler.plan_log == reference_scheduler.plan_log
+    return fast
+
+
+@pytest.mark.parametrize("validate", [True, False], ids=["validate", "plain"])
+@pytest.mark.parametrize("policy_name", sorted(WQ_FLIP_FACTORIES))
+@pytest.mark.parametrize("seed", range(8))
+def test_conservative_reuse_wq_flip_bursts(seed, policy_name, validate):
+    jobs = burst_workload(seed, cpus=8)
+    assert_conservative_matches_reference(
+        jobs, 8, WQ_FLIP_FACTORIES[policy_name], validate
+    )
+
+
+def test_conservative_wq_flip_bursts_reduce_gears():
+    """The burst workloads reach the regime the gate matters in: jobs
+    run at reduced gears, and passes see the WQ size (the queue minus
+    the candidate; a plan log entry holds one job per queued job) on
+    both sides of every threshold used here: 0, 1 and 4."""
+    reduced = 0
+    depths = set()
+    for seed in range(8):
+        scheduler = ConservativeBackfilling(
+            Machine("m", 8), WQ_FLIP_FACTORIES["bsld(3,1)"](),
+            config=SchedulerConfig(validate=True),
+        )
+        reduced += scheduler.run(burst_workload(seed, cpus=8)).reduced_jobs
+        depths.update(len(plan) for _, _, plan in scheduler.plan_log)
+    assert reduced > 0
+    assert min(depths) - 1 == 0
+    assert max(depths) - 1 > 4
+
+
+@pytest.mark.parametrize("validate", [True, False], ids=["validate", "plain"])
+@pytest.mark.parametrize("policy_name", sorted(WQ_FLIP_FACTORIES))
+@given(jobs=burst_workload_strategy(cpus=6))
+@settings(max_examples=15)
+def test_conservative_reuse_wq_flip_property(jobs, policy_name, validate):
+    assert_conservative_matches_reference(
+        jobs, 6, WQ_FLIP_FACTORIES[policy_name], validate
+    )

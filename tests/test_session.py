@@ -453,6 +453,67 @@ class TestRuntimeControl:
         assert "cap" not in result.policy
 
 
+    @pytest.mark.parametrize("validate", [True, False], ids=["validate", "plain"])
+    def test_conservative_runtime_control_matches_reference(self, validate):
+        """Policy swaps and gear caps mid-run on conservative backfilling
+        land exactly as on the rebuild-per-pass reference given the same
+        calls at the same times: a plan kept across arrivals never
+        outlives the policy that made it.  Under ``validate`` the plan
+        logs must match pass for pass, so a stale kept plan shows even
+        when it happens not to move a start."""
+        from repro.scheduling.base import SchedulerConfig
+        from repro.scheduling.reference import ReferenceConservativeBackfilling
+
+        spec = RunSpec(
+            workload="SDSC",
+            n_jobs=300,
+            seed=1,
+            scheduler="conservative",
+            policy=PolicySpec.power_aware(2.0, None),
+        )
+        cycle = [
+            ("policy", PolicySpec.power_aware(3.0, 4)),
+            ("cap", 1.4),
+            ("cap", 1.1),
+            ("cap", None),
+            ("policy", PolicySpec.baseline()),
+            ("policy", PolicySpec.power_aware(1.5, None)),
+            ("cap", 0.8),
+            ("cap", None),
+            ("policy", PolicySpec.power_aware(2.0, None)),
+        ]
+        simulation = Simulation(spec, validate=validate)
+        jobs = simulation.jobs
+        # One control call just after every 11th arrival.
+        controls = [
+            (jobs[index].submit_time + 1.0, *cycle[k % len(cycle)])
+            for k, index in enumerate(range(11, len(jobs), 11))
+        ]
+        session = simulation.session()
+        reference = ReferenceConservativeBackfilling(
+            simulation.machine, spec.policy.build(), config=SchedulerConfig(validate=validate)
+        )
+        engine = reference.prepare(jobs)
+        for time, kind, value in controls:
+            session.run_until(time)
+            engine.run(until=time, max_events=reference.event_budget)
+            if kind == "policy":
+                session.set_policy(value)
+                reference.set_policy(value.build())
+            else:
+                session.set_gear_cap(value)
+                reference.set_gear_cap(value)
+        fast = session.result()
+        engine.run(max_events=reference.event_budget)
+        expected = reference.finalize()
+        assert fast.reduced_jobs > 0
+        assert [(o.start_time, o.gear) for o in fast.outcomes] == [
+            (o.start_time, o.gear) for o in expected.outcomes
+        ]
+        if validate:
+            assert session._scheduler.plan_log == reference.plan_log
+
+
 class _Recorder(Instrument):
     """A bare instrument accumulating every event it sees."""
 
