@@ -1,13 +1,17 @@
 """CPU-frequency assignment policies (the paper's core contribution).
 
 A frequency policy answers one question for the job scheduler: *at
-which gear should this job be scheduled, if at all?*  The policy
-receives a :class:`SchedulingContext` carrying everything Figures 1-2
-of the paper consult — the candidate's prospective wait time, the wait
-queue size and a per-gear feasibility callback — and returns a gear, or
-``None`` when the job should not be scheduled in this pass (only
-meaningful for backfill candidates; the queue head must always be
-schedulable).
+which gear should this job be scheduled, if at all?*  It has two entry
+points:
+
+* :meth:`FrequencyPolicy.select_gear` reads a :class:`SchedulingContext`
+  (the wait as a function of the gear, the wait queue size and a
+  per-gear feasibility callback — what Figures 1-2 of the paper
+  consult) and returns a gear, or ``None`` to skip the job this pass.
+  Conservative backfilling uses it: there the wait depends on the gear.
+* :meth:`FrequencyPolicy.fixed_wait_decisions` returns the
+  ``(head, backfill)`` closure pair for a wait that is the same at
+  every gear.  EASY backfilling and FCFS call it on both cores.
 
 The policy is deliberately scheduler-agnostic: the same object plugs
 into EASY backfilling, plain FCFS and conservative backfilling, which
@@ -22,6 +26,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.gears import Gear, GearSet
 from repro.metrics.bsld import BSLD_THRESHOLD_SECONDS, predicted_bsld
+from repro.sim.engine import SimulationError
 
 if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
     from repro.power.time_model import BetaTimeModel
@@ -39,6 +44,10 @@ __all__ = [
 #: Sentinel for the paper's "WQ size NO LIMIT" configuration.
 NO_WQ_LIMIT: int | None = None
 
+#: The two halves of :meth:`FrequencyPolicy.fixed_wait_decisions`.
+HeadDecision = Callable[["Job", float, int, int, float], int]
+BackfillDecision = Callable[["Job", float, int, int, bool, float, float], int]
+
 
 def _always_feasible(gear: Gear) -> bool:
     return True
@@ -47,8 +56,9 @@ def _always_feasible(gear: Gear) -> bool:
 class SchedulingContext:
     """Inputs available to a frequency decision.
 
-    A ``__slots__`` value class (not a dataclass): schedulers build one
-    per backfill candidate, so construction cost is on the hot path.
+    A ``__slots__`` value class (not a dataclass): conservative
+    backfilling and the derived fixed-wait pair build one per decision,
+    so construction cost is on the hot path.
 
     Attributes
     ----------
@@ -80,8 +90,7 @@ class SchedulingContext:
     """
 
     __slots__ = (
-        "now", "wait_time_for", "wq_size", "utilization", "must_schedule",
-        "feasible", "fixed_wait",
+        "now", "wait_time_for", "wq_size", "utilization", "must_schedule", "feasible",
     )
 
     def __init__(
@@ -99,37 +108,16 @@ class SchedulingContext:
         self.utilization = utilization
         self.must_schedule = must_schedule
         self.feasible = feasible
-        self.fixed_wait = None
-
-    @classmethod
-    def with_fixed_wait(
-        cls,
-        *,
-        now: float,
-        wait_time: float,
-        wq_size: int,
-        utilization: float,
-        must_schedule: bool,
-        feasible: Callable[[Gear], bool] = _always_feasible,
-    ) -> "SchedulingContext":
-        """Context whose wait time is the same for every gear (EASY/FCFS).
-
-        ``fixed_wait`` carries the constant, letting policies skip the
-        per-gear ``wait_time_for`` indirection on the hot path.
-        """
-        ctx = cls.__new__(cls)
-        ctx.now = now
-        ctx.wait_time_for = lambda gear: wait_time
-        ctx.wq_size = wq_size
-        ctx.utilization = utilization
-        ctx.must_schedule = must_schedule
-        ctx.feasible = feasible
-        ctx.fixed_wait = wait_time
-        return ctx
 
 
 class FrequencyPolicy(ABC):
     """Base class; concrete policies implement :meth:`select_gear`."""
+
+    #: Whether a skipped backfill candidate stays skipped while, under an
+    #: unchanged machine state, the clock advances and the queue grows.
+    #: The fused core then skips arrival passes that provably start
+    #: nothing; an unknown policy (``False``) gets every pass.
+    refusals_persist = False
 
     def bind(self, gears: GearSet, time_model: BetaTimeModel) -> None:
         """Attach machine facts; called once by the scheduler."""
@@ -147,6 +135,64 @@ class FrequencyPolicy(ABC):
     @abstractmethod
     def select_gear(self, job: Job, ctx: SchedulingContext) -> Gear | None:
         """The gear to schedule ``job`` at, or ``None`` to skip it."""
+
+    def fixed_wait_decisions(self, total_cpus: int) -> tuple[HeadDecision, BackfillDecision]:
+        """The EASY/FCFS decision pair on a machine of ``total_cpus``.
+
+        ``head(job, wait, wq_size, free, now)`` gives the queue head's
+        gear; ``backfill(job, wait, wq_size, free, gated, now, t_res)``
+        a backfill candidate's, or -1 to skip it.  Both answer with an
+        index into ``gears.ascending()``.  ``gated`` means the job needs
+        more than the processors spare at the head's reservation, so a
+        gear fits only if ``now + requested * Coef(gear) <= t_res``;
+        callers pass it only once the top gear fits (``Coef == 1``).
+
+        Schedulers build the pair once per :meth:`bind`.  This default
+        derives it from :meth:`select_gear`, with utilisation
+        ``(total_cpus - free) / total_cpus``.
+        """
+        ladder = self._gears.ascending()
+        coefficient = self._time_model.coefficient
+        select_gear = self.select_gear
+
+        def head(job: Job, wait: float, wq_size: int, free: int, now: float) -> int:
+            gear = select_gear(
+                job,
+                SchedulingContext(
+                    now, lambda gear: wait, wq_size, (total_cpus - free) / total_cpus,
+                    must_schedule=True,
+                ),
+            )
+            if gear is None:
+                raise SimulationError(
+                    f"policy {self.describe()} refused to schedule queue head "
+                    f"{job.job_id} (must_schedule contexts cannot be skipped)"
+                )
+            return ladder.index(gear)
+
+        def backfill(
+            job: Job, wait: float, wq_size: int, free: int, gated: bool, now: float,
+            t_res: float,
+        ) -> int:
+            feasible = _always_feasible
+            if gated:
+                requested = job.requested_time
+                beta = job.beta
+
+                def fits(gear: Gear) -> bool:
+                    return now + requested * coefficient(gear.frequency, beta) <= t_res
+
+                feasible = fits
+            gear = select_gear(
+                job,
+                SchedulingContext(
+                    now, lambda gear: wait, wq_size, (total_cpus - free) / total_cpus,
+                    must_schedule=False, feasible=feasible,
+                ),
+            )
+            return -1 if gear is None else ladder.index(gear)
+
+        return head, backfill
 
     def wq_gate(self, wq_size: int) -> object:
         """The part of :meth:`select_gear` that depends on ``ctx.wq_size``.
@@ -176,6 +222,9 @@ class FixedGearPolicy(FrequencyPolicy):
     strawman that motivates BSLD-aware selection.
     """
 
+    #: It skips only a gear that does not fit, and fits only tighten.
+    refusals_persist = True
+
     def __init__(self, frequency: float | None = None) -> None:
         self._frequency = frequency
 
@@ -190,6 +239,31 @@ class FixedGearPolicy(FrequencyPolicy):
         if feasible is _always_feasible or feasible(self._gear):
             return self._gear
         return None
+
+    def fixed_wait_decisions(self, total_cpus: int) -> tuple[HeadDecision, BackfillDecision]:
+        fixed_idx = self._gears.ascending().index(self._gear)
+        fixed_frequency = self._gear.frequency
+        coefficient = self._time_model.coefficient
+        fixed_coef = coefficient(fixed_frequency)
+
+        def head(job: Job, wait: float, wq_size: int, free: int, now: float) -> int:
+            return fixed_idx
+
+        def backfill(
+            job: Job, wait: float, wq_size: int, free: int, gated: bool, now: float,
+            t_res: float,
+        ) -> int:
+            if gated:
+                beta = job.beta
+                if beta is None:
+                    coef = fixed_coef
+                else:
+                    coef = coefficient(fixed_frequency, beta)
+                if not (now + job.requested_time * coef <= t_res):
+                    return -1
+            return fixed_idx
+
+        return head, backfill
 
     def wq_gate(self, wq_size: int) -> object:
         return None
@@ -229,6 +303,10 @@ class BsldThresholdPolicy(FrequencyPolicy):
         wait matching its no-DVFS wait requires unconditional Ftop
         backfills); set ``True`` for the literal pseudocode.
     """
+
+    #: A longer wait raises every predicted BSLD, a later clock only
+    #: tightens the fits, and a longer queue only closes the WQ gate.
+    refusals_persist = True
 
     def __init__(
         self,
@@ -277,7 +355,6 @@ class BsldThresholdPolicy(FrequencyPolicy):
         time_threshold = self.bsld_time_threshold
         denominator = time_threshold if time_threshold > requested else requested
         bsld_threshold = self.bsld_threshold
-        fixed_wait = ctx.fixed_wait
         wait_time_for = ctx.wait_time_for
         coefficient = self._time_model.coefficient
         if start == 0:
@@ -286,8 +363,7 @@ class BsldThresholdPolicy(FrequencyPolicy):
             # never starts later), so if even Ftop misses the threshold no
             # reduced gear can pass — the whole ladder walk collapses to
             # the loop's top-gear outcome.
-            wait_top = fixed_wait if fixed_wait is not None else wait_time_for(top)
-            bsld_top = (wait_top + requested) / denominator
+            bsld_top = (wait_time_for(top) + requested) / denominator
             if bsld_top >= bsld_threshold and bsld_top >= 1.0:
                 if not check_top and (not check_feasible or feasible(top)):
                     return top
@@ -301,7 +377,7 @@ class BsldThresholdPolicy(FrequencyPolicy):
                 coef = self._default_coefs[start + offset]
             else:
                 coef = coefficient(gear.frequency, beta)
-            wait = fixed_wait if fixed_wait is not None else wait_time_for(gear)
+            wait = wait_time_for(gear)
             # Inline Eq. (2): job validation guarantees requested > 0, so
             # the denominator is always positive here (predict() keeps
             # the fully-validated scalar path for external callers).
@@ -316,6 +392,77 @@ class BsldThresholdPolicy(FrequencyPolicy):
             return top
         return None
 
+    def fixed_wait_decisions(self, total_cpus: int) -> tuple[HeadDecision, BackfillDecision]:
+        """:meth:`select_gear` over flat tables, for a gear-independent wait."""
+        bsld_threshold = self.bsld_threshold
+        wq_threshold = self.wq_threshold
+        time_threshold = self.bsld_time_threshold
+        strict_top = self.strict_top_backfill
+        default_coefs = self._default_coefs
+        freqs = [gear.frequency for gear in self._ladder]
+        n_gears = len(freqs)
+        top_idx = self._top_index
+        coefficient = self._time_model.coefficient
+
+        def head(job: Job, wait: float, wq_size: int, free: int, now: float) -> int:
+            if wq_threshold is not None and wq_size > wq_threshold:
+                return top_idx
+            requested = job.requested_time
+            denominator = time_threshold if time_threshold > requested else requested
+            bsld_top = (wait + requested) / denominator
+            if bsld_top >= bsld_threshold and bsld_top >= 1.0:
+                return top_idx
+            beta = job.beta
+            for index in range(n_gears):
+                if index == top_idx:
+                    return top_idx
+                if beta is None:
+                    coef = default_coefs[index]
+                else:
+                    coef = coefficient(freqs[index], beta)
+                bsld = (wait + requested * coef) / denominator
+                if bsld < 1.0:
+                    bsld = 1.0
+                if bsld < bsld_threshold:
+                    return index
+            return top_idx  # pragma: no cover - the loop always hits top
+
+        def backfill(
+            job: Job, wait: float, wq_size: int, free: int, gated: bool, now: float,
+            t_res: float,
+        ) -> int:
+            requested = job.requested_time
+            beta = job.beta
+            denominator = time_threshold if time_threshold > requested else requested
+            if wq_threshold is not None and wq_size > wq_threshold:
+                start = top_idx
+            else:
+                start = 0
+                # Predicted BSLD is monotone non-increasing in frequency:
+                # if even Ftop misses the threshold, no reduced gear can
+                # pass (and the top gear is always feasible when gated —
+                # the caller pre-verified now + requested <= t_res).
+                bsld_top = (wait + requested) / denominator
+                if bsld_top >= bsld_threshold and bsld_top >= 1.0:
+                    return -1 if strict_top else top_idx
+            for index in range(start, n_gears):
+                if beta is None:
+                    coef = default_coefs[index]
+                else:
+                    coef = coefficient(freqs[index], beta)
+                if gated and not (now + requested * coef <= t_res):
+                    continue
+                if index == top_idx and not strict_top:
+                    return top_idx
+                bsld = (wait + requested * coef) / denominator
+                if bsld < 1.0:
+                    bsld = 1.0
+                if bsld < bsld_threshold:
+                    return index
+            return -1
+
+        return head, backfill
+
     def predict(self, job: Job, gear: Gear, wait_time: float) -> float:
         """Eq. (2) for this job at this gear under ``wait_time``."""
         coefficient = self.time_model.coefficient(gear.frequency, job.beta)
@@ -329,6 +476,7 @@ class BsldThresholdPolicy(FrequencyPolicy):
     def wq_gate(self, wq_size: int) -> object:
         """Whether reduced gears are tried at all (the WQ threshold)."""
         return self.wq_threshold is None or wq_size <= self.wq_threshold
+
 
     def describe(self) -> str:
         wq = "NO" if self.wq_threshold is None else str(self.wq_threshold)

@@ -35,6 +35,9 @@ class UtilizationTriggeredPolicy(FrequencyPolicy):
         lowest gear, <60% to a middle gear and anything busier to Ftop.
     """
 
+    #: It skips only a candidate whose top gear does not fit.
+    refusals_persist = True
+
     def __init__(self, steps: tuple[tuple[float, int], ...] = ((0.4, 0), (0.6, 3))) -> None:
         bounds = [b for b, _ in steps]
         # Strictly ascending: a duplicate bound would silently

@@ -21,7 +21,7 @@ from repro.cluster.machine import Machine
 from repro.cluster.power import NodePowerManager, SleepPolicy
 from repro.cluster.processors import ProcessorPool
 from repro.core.dynamic_boost import DynamicBoostConfig, boost_plan
-from repro.core.frequency_policy import FrequencyPolicy, GearCappedPolicy, SchedulingContext
+from repro.core.frequency_policy import FrequencyPolicy, GearCappedPolicy
 from repro.core.gears import Gear
 from repro.power.energy import EnergyAccounting, SleepEnergyBreakdown
 from repro.power.model import PowerModel
@@ -150,6 +150,10 @@ class Scheduler(ABC):
         # layered on top of it (set_gear_cap / the power_cap instrument).
         self._base_policy = policy
         self._gear_cap: float | None = None
+        # EASY/FCFS decide through the policy's fixed-wait pair, which
+        # answers with an index into this ladder.
+        self._ladder = machine.gears.ascending()
+        self._install_decisions()
 
         # Observers receive the typed lifecycle stream; with none
         # attached (every paper-reproduction path) emission costs one
@@ -311,6 +315,12 @@ class Scheduler(ABC):
             capped = GearCappedPolicy(self._base_policy, self._gear_cap)
             capped.bind(self._gears, self._time_model)
             self._policy = capped
+        self._install_decisions()
+
+    def _install_decisions(self) -> None:
+        self._head_decision, self._backfill_decision = self._policy.fixed_wait_decisions(
+            self._machine.total_cpus
+        )
 
     # -- the public entry points ---------------------------------------------------
     def run(self, jobs: list[Job]) -> SimulationResult:
@@ -582,21 +592,11 @@ class Scheduler(ABC):
             head = queue._jobs[queue._head]
             if not pool.fits(head.size):
                 break
-            ctx = SchedulingContext.with_fixed_wait(
-                now=now,
-                wait_time=now - head.submit_time,
-                wq_size=len(self._queue) - 1,
-                utilization=self._utilization(),
-                must_schedule=True,
+            index = self._head_decision(
+                head, now - head.submit_time, queue._live - 1, pool.free_cpus, now
             )
-            gear = self._policy.select_gear(head, ctx)
-            if gear is None:
-                raise SimulationError(
-                    f"policy {self._policy.describe()} refused to schedule queue head "
-                    f"{head.job_id} (must_schedule contexts cannot be skipped)"
-                )
-            self._queue.popleft()
-            self._start_job(now, head, gear)
+            queue.popleft()
+            self._start_job(now, head, self._ladder[index])
 
     def _start_job(self, now: float, job: Job, gear: Gear) -> _RunningJob:
         coefficient = self._time_model.coefficient(gear.frequency, job.beta)

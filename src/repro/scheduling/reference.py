@@ -46,15 +46,17 @@ class ReferenceEasyBackfilling(Scheduler):
                 break
             if job.size > self._pool.free_cpus:
                 continue
+            # Decided through select_gear, not the policy's fixed-wait
+            # pair, so the oracle shares no decision code with EASY.
             gear = self._policy.select_gear(
                 job,
-                SchedulingContext.with_fixed_wait(
+                SchedulingContext(
                     now=now,
-                    wait_time=now - job.submit_time,
+                    wait_time_for=lambda gear, wait=now - job.submit_time: wait,
                     wq_size=len(self._queue) - 1,
                     utilization=self._utilization(),
                     must_schedule=False,
-                    feasible=self._backfill_test(trial, job, now),
+                    feasible=self._fits_beside_head(trial, job, now),
                 ),
             )
             if gear is None:
@@ -106,7 +108,7 @@ class ReferenceEasyBackfilling(Scheduler):
         trial.reserve(start, start + duration, head.size)
         return trial
 
-    def _backfill_test(self, trial: AvailabilityProfile, job: Job, now: float):
+    def _fits_beside_head(self, trial: AvailabilityProfile, job: Job, now: float):
         def feasible(gear: Gear) -> bool:
             if job.size > self._pool.free_cpus:
                 return False

@@ -3,9 +3,8 @@
 The reference core (:mod:`repro.scheduling.base`) is event-driven and
 object-per-thing: an :class:`~repro.sim.engine.Engine` dispatching
 handler callbacks, a ``_RunningJob`` object and an
-:class:`~repro.sim.events.EventHandle` per start, a
-:class:`~repro.scheduling.job.JobOutcome` dataclass per completion and
-a :class:`~repro.core.frequency_policy.SchedulingContext` per decision.
+:class:`~repro.sim.events.EventHandle` per start and a
+:class:`~repro.scheduling.job.JobOutcome` dataclass per completion.
 Those objects are where most of the wall time of a large run goes — the
 scheduling *logic* (reservation walk, backfill scan) is a small
 fraction of it.
@@ -18,9 +17,10 @@ stripped out:
   dispatch, and runs of arrivals landing while the machine is saturated
   (``free == 0``, when a scheduling pass is provably a no-op) batch
   straight into the wait queue between decision points;
-* per-decision policy logic (the paper's BSLD-threshold walk, the
-  fixed-gear baselines) is inlined over flat coefficient tables instead
-  of going through ``SchedulingContext``/``select_gear``;
+* gears are ladder indices end to end: each decision calls the
+  policy's fixed-wait pair
+  (:meth:`~repro.core.frequency_policy.FrequencyPolicy.fixed_wait_decisions`),
+  the same closures the reference EASY/FCFS schedulers call;
 * per-job results land in preallocated numpy columns and come back as
   an :class:`~repro.scheduling.columns.OutcomeColumns` store — the
   dict-of-dataclass view is reconstructed lazily, and aggregate queries
@@ -33,14 +33,15 @@ the *same expression in the same order* as the reference core's:
 each finish, the reservation walk and the pre-filtered backfill scan
 (including its memo/cache keys) all mirror
 :mod:`repro.scheduling.base` / :mod:`repro.scheduling.easy` line for
-line.  The wait-queue (:class:`~repro.scheduling.queue.JobQueue`) is
-reused outright, so candidate enumeration is shared code, not a copy.
+line.  The wait-queue (:class:`~repro.scheduling.queue.JobQueue`) and
+the policy's decision pair are reused outright, so candidate
+enumeration and gear selection are shared code, not copies.
 
-Coverage: EASY and FCFS scheduling under the ``nodvfs``, ``fixed`` and
-``bsld`` policy kinds, no boost, no sleep, no timeline, no instruments,
-no validate/sanitize mode.  :func:`try_run_columnar` returns ``None``
-for anything else and the lane falls back to the reference core;
-:func:`fallback_reason` says why.
+Coverage: EASY and FCFS scheduling under any policy kind, no boost, no
+sleep, no timeline, no instruments, no validate/sanitize mode.
+:func:`try_run_columnar` returns ``None`` for anything else and the
+lane falls back to the reference core; :func:`fallback_reason` says
+why.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ except ImportError:  # pragma: no cover - exercised only without numpy
     _np = None
 
 from repro.analysis.sanitize import enabled as sanitize_enabled
-from repro.core.frequency_policy import BsldThresholdPolicy, FixedGearPolicy
 from repro.power.energy import EnergyAccounting
 from repro.power.time_model import BetaTimeModel
 from repro.registry import POWER_MODELS
@@ -72,16 +72,15 @@ if TYPE_CHECKING:  # imported for annotations only; avoids package cycles
 __all__ = ["fallback_reason", "try_run_columnar"]
 
 _SUPPORTED_SCHEDULERS = frozenset({"easy", "fcfs"})
-_SUPPORTED_POLICY_KINDS = frozenset({"nodvfs", "fixed", "bsld"})
 
 
 def fallback_reason(simulation: Simulation) -> str | None:
     """Why the fused core cannot reproduce this run, or ``None`` if it can.
 
     Names the first unmet condition, checked in a fixed order: numpy,
-    validate and sanitize modes, the scheduler, the policy kind, boost,
-    sleep, timelines, instruments, and last an empty trace.  Anything
-    with a reason runs on the reference core via the lane fallback.
+    validate and sanitize modes, the scheduler, boost, sleep, timelines,
+    instruments, and last an empty trace.  Anything with a reason runs
+    on the reference core via the lane fallback.
     """
     spec = simulation.spec
     if _np is None:
@@ -92,8 +91,6 @@ def fallback_reason(simulation: Simulation) -> str | None:
         return "the sanitizer is on"
     if spec.scheduler not in _SUPPORTED_SCHEDULERS:
         return f"scheduler {spec.scheduler!r} is not fused"
-    if spec.policy.kind not in _SUPPORTED_POLICY_KINDS:
-        return f"policy kind {spec.policy.kind!r} is not fused"
     if spec.policy.boost_trigger is not None:
         return "boost is set"
     if spec.sleep is not None:
@@ -129,105 +126,18 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
     accounting = EnergyAccounting(power_model)
 
     ladder = gears.ascending()
-    n_gears = len(ladder)
     freqs = [gear.frequency for gear in ladder]
     top_idx = ladder.index(gears.top)
     coefficient = time_model.coefficient
-    # The exact memoised values the reference resolves per gear — both
-    # the policy's _default_coefs and EASY's _default_coef_by_frequency
-    # come from the same coefficient() calls.
+    # The exact memoised values the reference's start_job resolves per
+    # gear: the same coefficient() calls.
     default_coefs = [coefficient(frequency) for frequency in freqs]
     active_power = [accounting._active_power[gear] for gear in ladder]
 
-    # -- inlined policy decisions ------------------------------------------------
-    # select_must: the queue head (must_schedule=True, always feasible).
-    # select_backfill: a backfill candidate; `gated` is True when the
-    # per-gear admission test applies (size > extra), in which case the
-    # caller has already verified the top gear fits (Coef(fmax) == 1).
-    # Returns a ladder index, or -1 for "skip this candidate".
-    if isinstance(policy, BsldThresholdPolicy):
-        bsld_threshold = policy.bsld_threshold
-        wq_threshold = policy.wq_threshold
-        time_threshold = policy.bsld_time_threshold
-        strict_top = policy.strict_top_backfill
-
-        def select_must(job: Job, wait: float, wq_size: int) -> int:
-            if wq_threshold is not None and wq_size > wq_threshold:
-                return top_idx
-            requested = job.requested_time
-            denominator = time_threshold if time_threshold > requested else requested
-            bsld_top = (wait + requested) / denominator
-            if bsld_top >= bsld_threshold and bsld_top >= 1.0:
-                return top_idx
-            beta = job.beta
-            for index in range(n_gears):
-                if index == top_idx:
-                    return top_idx
-                if beta is None:
-                    coef = default_coefs[index]
-                else:
-                    coef = coefficient(freqs[index], beta)
-                bsld = (wait + requested * coef) / denominator
-                if bsld < 1.0:
-                    bsld = 1.0
-                if bsld < bsld_threshold:
-                    return index
-            return top_idx  # pragma: no cover - the loop always hits top
-
-        def select_backfill(
-            job: Job, wait: float, wq_size: int, gated: bool, now: float, t_res: float
-        ) -> int:
-            requested = job.requested_time
-            beta = job.beta
-            denominator = time_threshold if time_threshold > requested else requested
-            if wq_threshold is not None and wq_size > wq_threshold:
-                start = top_idx
-            else:
-                start = 0
-                # Predicted BSLD is monotone non-increasing in frequency:
-                # if even Ftop misses the threshold, no reduced gear can
-                # pass (and the top gear is always feasible when gated —
-                # the caller pre-verified now + requested <= t_res).
-                bsld_top = (wait + requested) / denominator
-                if bsld_top >= bsld_threshold and bsld_top >= 1.0:
-                    return -1 if strict_top else top_idx
-            for index in range(start, n_gears):
-                if beta is None:
-                    coef = default_coefs[index]
-                else:
-                    coef = coefficient(freqs[index], beta)
-                if gated and not (now + requested * coef <= t_res):
-                    continue
-                if index == top_idx and not strict_top:
-                    return top_idx
-                bsld = (wait + requested * coef) / denominator
-                if bsld < 1.0:
-                    bsld = 1.0
-                if bsld < bsld_threshold:
-                    return index
-            return -1
-
-    else:
-        assert isinstance(policy, FixedGearPolicy)
-        fixed_idx = ladder.index(policy._gear)
-        fixed_frequency = freqs[fixed_idx]
-        fixed_coef = default_coefs[fixed_idx]
-
-        def select_must(job: Job, wait: float, wq_size: int) -> int:
-            return fixed_idx
-
-        def select_backfill(
-            job: Job, wait: float, wq_size: int, gated: bool, now: float, t_res: float
-        ) -> int:
-            if gated:
-                beta = job.beta
-                if beta is None:
-                    coef = fixed_coef
-                else:
-                    coef = coefficient(fixed_frequency, beta)
-                if not (now + job.requested_time * coef <= t_res):
-                    return -1
-            return fixed_idx
+    # select_must: the queue head; select_backfill: a backfill candidate,
+    # -1 for "skip" (see FrequencyPolicy.fixed_wait_decisions).
+    select_must, select_backfill = policy.fixed_wait_decisions(total_cpus)
+    refusals_persist = policy.refusals_persist
 
     # -- per-run state ------------------------------------------------------------
     queue = JobQueue()
@@ -300,7 +210,7 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
             assert head is not None
             if head.size > free:
                 break
-            gear_idx = select_must(head, now - head.submit_time, queue._live - 1)
+            gear_idx = select_must(head, now - head.submit_time, queue._live - 1, free, now)
             queue.popleft()
             start_job(now, head, gear_idx)
 
@@ -337,7 +247,7 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
         return result
 
     def backfill_scan(now: float, head: Job, t_res: float, extra: int) -> None:
-        """Mirror of ``EasyBackfilling._backfill_scan`` with inlined decisions."""
+        """Mirror of ``EasyBackfilling._backfill_scan``."""
         nonlocal scan_cache, free, seq, est_version
         free_now = free
         if free_now == 0:
@@ -404,7 +314,7 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
                 else:
                     gated = True
                 gear_idx = select_backfill(
-                    job, now - job.submit_time, queue_len - 1, gated, now, t_res
+                    job, now - job.submit_time, queue_len - 1, free_now, gated, now, t_res
                 )
                 if gear_idx < 0:
                     continue
@@ -469,56 +379,24 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
     if spec.scheduler == "easy":
 
         def run_pass(now: float) -> None:
-            """Mirror of ``EasyBackfilling._schedule_pass`` (validate off),
-            with the shared FCFS head loop inlined."""
-            while queue._live:
-                head = queue._jobs[queue._head]
-                assert head is not None
-                if head.size > free:
-                    break
-                gear_idx = select_must(head, now - head.submit_time, queue._live - 1)
-                queue.popleft()
-                start_job(now, head, gear_idx)
+            """Mirror of ``EasyBackfilling._schedule_pass`` (validate off)."""
+            start_heads(now)
             queue_len = queue._live
             if queue_len == 0 or free == 0 or queue_len == 1:
                 return
             head = queue._jobs[queue._head]
             assert head is not None
-            # head_reservation inlined (one call per scheduling pass).
-            nonlocal reservation_memo
-            accumulated = free
-            key = (head.job_id, accumulated, est_version)
-            memo = reservation_memo
-            if memo is not None and memo[0] == key:
-                t_res, extra = memo[1]
-            else:
-                t_res = None
-                index = 0
-                for index, (end, _job_id, est_size) in enumerate(estimates):
-                    accumulated += est_size
-                    if accumulated >= head.size:
-                        t_res = end
-                        break
-                if t_res is None:
-                    raise SimulationError(
-                        f"head {head.job_id} (size {head.size}) cannot fit even on "
-                        f"the drained machine; trace validation should have caught this"
-                    )
-                for end, _job_id, est_size in estimates[index + 1 :]:
-                    if end != t_res:
-                        break
-                    accumulated += est_size
-                extra = accumulated - head.size
-                reservation_memo = (key, (t_res, extra))
+            t_res, extra = head_reservation(head)
             backfill_scan(now, head, t_res, extra)
 
         def arrival_pass(now: float, job: Job) -> None:
             """An arrival-triggered pass, skipped when provably a no-op.
 
             Rejections only harden as ``now`` advances under fixed
-            (free, estimates, head): the slack gate tightens, waits grow
-            so predicted BSLDs grow, and ``size > free`` is
-            time-independent.  So if nothing has changed since the last
+            (free, estimates, head): the slack gate tightens, ``size >
+            free`` is time-independent, and a policy with
+            ``refusals_persist`` keeps its own skips (any other policy
+            gets every pass).  So if nothing has changed since the last
             clean scan (same est_version and free — any start or finish
             bumps est_version, and every intervening real pass either
             bumped it or re-stored the cache), every queued job is still
@@ -534,7 +412,7 @@ def _run_columnar(simulation: Simulation, jobs: list[Job]) -> SimulationResult:
                 return
             head = queue._jobs[queue._head]
             assert head is not None
-            if head.size > free:
+            if head.size > free and refusals_persist:
                 cache = scan_cache
                 if (
                     cache is not None

@@ -20,8 +20,8 @@ Two lanes ship:
     (:mod:`repro.sim.columnar`) holding job state in preallocated numpy
     arrays and batching event runs between scheduler decision points.
     Requires numpy; configurations it does not cover (validate mode,
-    sleep policies, boost, timelines, the conservative scheduler, the
-    ``util`` policy) fall back to the reference core transparently —
+    sleep policies, boost, timelines, instruments, the conservative
+    scheduler) fall back to the reference core transparently —
     the results are identical either way
     (:func:`~repro.sim.columnar.fallback_reason` names why).
 

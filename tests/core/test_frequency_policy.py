@@ -1,6 +1,7 @@
 """Unit tests for the frequency-assignment policies (Figures 1-2 logic)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.frequency_policy import (
     BsldThresholdPolicy,
@@ -13,6 +14,7 @@ from repro.core.frequency_policy import (
 from repro.core.util_policy import UtilizationTriggeredPolicy
 from repro.core.gears import PAPER_GEAR_SET
 from repro.power.time_model import BetaTimeModel
+from repro.sim.engine import SimulationError
 from tests.conftest import make_job
 
 TIME_MODEL = BetaTimeModel.for_gear_set(PAPER_GEAR_SET)
@@ -24,9 +26,9 @@ def bind(policy):
 
 
 def ctx(wait=0.0, wq=0, must=True, feasible=None, util=0.5):
-    return SchedulingContext.with_fixed_wait(
+    return SchedulingContext(
         now=0.0,
-        wait_time=wait,
+        wait_time_for=lambda gear: wait,
         wq_size=wq,
         utilization=util,
         must_schedule=must,
@@ -135,6 +137,16 @@ class TestWqThreshold:
         assert Custom().wq_gate(3) != Custom().wq_gate(4)
 
 
+def test_only_bundled_policies_promise_persistent_refusals():
+    class Custom(FrequencyPolicy):
+        def select_gear(self, job, ctx):
+            return None
+
+    assert not Custom().refusals_persist
+    for policy in (FixedGearPolicy(), BsldThresholdPolicy(), UtilizationTriggeredPolicy()):
+        assert policy.refusals_persist
+
+
 class TestFeasibility:
     def test_infeasible_low_gears_skipped(self):
         job = make_job(runtime=5000.0, requested=5000.0)
@@ -206,3 +218,134 @@ class TestValidation:
             feasible=lambda gear: True,
         )
         assert policy.select_gear(job, context).frequency == pytest.approx(2.0)
+
+
+# -- the fixed-wait decision pair against select_gear --------------------------
+
+#: Every shipped policy: (label, factory).  Built fresh per example so
+#: no state leaks between draws.
+PAIR_POLICIES = {
+    "bsld(2,0)": lambda: BsldThresholdPolicy(2.0, 0),
+    "bsld(1.5,4)": lambda: BsldThresholdPolicy(1.5, 4),
+    "bsld(3,NO)": lambda: BsldThresholdPolicy(3.0, None),
+    "bsld(2,0)-strict": lambda: BsldThresholdPolicy(2.0, 0, strict_top_backfill=True),
+    "bsld(1.5,4)-strict": lambda: BsldThresholdPolicy(1.5, 4, strict_top_backfill=True),
+    "bsld(3,NO)-strict": lambda: BsldThresholdPolicy(3.0, None, strict_top_backfill=True),
+    "fixed-top": FixedGearPolicy,
+    "fixed-0.8": lambda: FixedGearPolicy(0.8),
+    "util": UtilizationTriggeredPolicy,
+    "capped-bsld(2,4)": lambda: GearCappedPolicy(BsldThresholdPolicy(2.0, 4), 1.4),
+}
+
+TOTAL_CPUS = 128
+LADDER = PAPER_GEAR_SET.ascending()
+#: Every per-gear coefficient at the drawn betas: t_res drawn on one of
+#: these lands a gear exactly on the admission boundary.
+COEFS = sorted(
+    {TIME_MODEL.coefficient(g.frequency, b) for g in LADDER for b in (None, 0.0, 0.5, 1.0)}
+)
+
+
+def wq_threshold_of(policy):
+    inner = policy.inner if isinstance(policy, GearCappedPolicy) else policy
+    return getattr(inner, "wq_threshold", None)
+
+
+@st.composite
+def decision_inputs(draw):
+    name = draw(st.sampled_from(sorted(PAIR_POLICIES)))
+    policy = bind(PAIR_POLICIES[name]())
+    requested = draw(st.floats(min_value=1.0, max_value=20000.0))
+    beta = draw(st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    job = make_job(runtime=requested, requested=requested, beta=beta)
+    wait = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50000.0)))
+    threshold = wq_threshold_of(policy)
+    if threshold is None:
+        wq_size = draw(st.integers(min_value=0, max_value=50))
+    else:
+        # Just below, at and just above the threshold, plus anywhere.
+        wq_size = draw(
+            st.one_of(
+                st.sampled_from([max(threshold - 1, 0), threshold, threshold + 1]),
+                st.integers(min_value=0, max_value=50),
+            )
+        )
+    free = draw(st.integers(min_value=0, max_value=TOTAL_CPUS))
+    now = draw(st.floats(min_value=0.0, max_value=1e6))
+    # gated candidates need the top gear to fit (the callers' check):
+    # t_res = now + requested * factor with factor >= Coef(Ftop) == 1.
+    factor = draw(st.one_of(st.sampled_from(COEFS), st.floats(min_value=1.0, max_value=3.0)))
+    t_res = now + requested * factor
+    gated = draw(st.booleans())
+    return policy, job, wait, wq_size, free, now, gated, t_res
+
+
+def plain_context(policy, job, wait, wq_size, free, now, must, gated=False, t_res=0.0):
+    coefficient = policy.time_model.coefficient
+
+    def feasible(gear):
+        if not gated:
+            return True
+        return now + job.requested_time * coefficient(gear.frequency, job.beta) <= t_res
+
+    return SchedulingContext(
+        now=now,
+        wait_time_for=lambda gear: wait,
+        wq_size=wq_size,
+        utilization=(TOTAL_CPUS - free) / TOTAL_CPUS,
+        must_schedule=must,
+        feasible=feasible,
+    )
+
+
+class TestFixedWaitDecisions:
+    """Each policy's (head, backfill) pair decides exactly as select_gear."""
+
+    @given(decision_inputs())
+    @settings(max_examples=400)
+    def test_pair_matches_select_gear(self, inputs):
+        policy, job, wait, wq_size, free, now, gated, t_res = inputs
+        head, backfill = policy.fixed_wait_decisions(TOTAL_CPUS)
+
+        expected_head = policy.select_gear(
+            job, plain_context(policy, job, wait, wq_size, free, now, must=True)
+        )
+        assert LADDER[head(job, wait, wq_size, free, now)] == expected_head
+
+        expected = policy.select_gear(
+            job,
+            plain_context(policy, job, wait, wq_size, free, now, False, gated, t_res),
+        )
+        index = backfill(job, wait, wq_size, free, gated, now, t_res)
+        if expected is None:
+            assert index == -1
+        else:
+            assert index >= 0 and LADDER[index] == expected
+
+    def test_derived_head_refusal_raises(self):
+        class Refuses(FrequencyPolicy):
+            def select_gear(self, job, ctx):
+                return None
+
+        head, backfill = bind(Refuses()).fixed_wait_decisions(TOTAL_CPUS)
+        job = make_job()
+        with pytest.raises(SimulationError, match="refused to schedule queue head"):
+            head(job, 0.0, 0, TOTAL_CPUS, 0.0)
+        assert backfill(job, 0.0, 0, TOTAL_CPUS, False, 0.0, 0.0) == -1
+
+    def test_derived_context_carries_the_exact_inputs(self):
+        seen = []
+
+        class Records(FrequencyPolicy):
+            def select_gear(self, job, ctx):
+                seen.append(
+                    (ctx.now, ctx.wait_time_for(self.gears.lowest), ctx.wq_size,
+                     ctx.utilization, ctx.must_schedule)
+                )
+                return self.gears.top
+
+        head, backfill = bind(Records()).fixed_wait_decisions(TOTAL_CPUS)
+        job = make_job()
+        assert LADDER[head(job, 7.5, 3, 32, 100.25)] == PAPER_GEAR_SET.top
+        assert LADDER[backfill(job, 2.5, 4, 96, False, 50.5, 60.0)] == PAPER_GEAR_SET.top
+        assert seen == [(100.25, 7.5, 3, 0.75, True), (50.5, 2.5, 4, 0.25, False)]

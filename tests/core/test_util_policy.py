@@ -16,9 +16,9 @@ def bind(policy=None):
 
 
 def ctx(util, must=True, feasible=None):
-    return SchedulingContext.with_fixed_wait(
+    return SchedulingContext(
         now=0.0,
-        wait_time=0.0,
+        wait_time_for=lambda gear: 0.0,
         wq_size=0,
         utilization=util,
         must_schedule=must,

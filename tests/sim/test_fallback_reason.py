@@ -3,7 +3,8 @@
 :func:`~repro.sim.columnar.fallback_reason` names the first condition
 the fused core does not meet, or returns ``None`` when it covers the
 run.  One case per reason pins the names; the covered cases pin that
-the whole fused coverage (EASY/FCFS × nodvfs/fixed/bsld) reports none.
+the fused coverage (EASY/FCFS under every bundled policy kind) reports
+none.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ REASONS = [
         "scheduler",
         "scheduler 'conservative' is not fused",
         lambda mp: Simulation(replace(SPEC, scheduler="conservative")),
-    ),
-    (
-        "policy-kind",
-        "policy kind 'util' is not fused",
-        lambda mp: Simulation(replace(SPEC, policy=PolicySpec(kind="util"))),
     ),
     (
         "boost",
@@ -115,8 +111,9 @@ def test_first_unmet_condition_wins():
         PolicySpec(kind="fixed", fixed_frequency=1.7),
         PolicySpec.power_aware(1.5, None),
         PolicySpec.power_aware(3.0, 0, strict_top_backfill=True),
+        PolicySpec(kind="util"),
     ],
-    ids=["nodvfs", "fixed", "bsld", "bsld-strict"],
+    ids=["nodvfs", "fixed", "bsld", "bsld-strict", "util"],
 )
 def test_covered_specs_have_no_reason(scheduler, policy):
     assert fallback_reason(Simulation(replace(SPEC, scheduler=scheduler, policy=policy))) is None

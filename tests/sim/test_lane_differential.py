@@ -19,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 from repro.api import Simulation
 from repro.cluster.machine import Machine
 from repro.cluster.power import SleepPolicy
+from repro.core.frequency_policy import FrequencyPolicy
 from repro.experiments.config import PolicySpec, RunSpec
+from repro.registry import POLICIES as POLICY_KINDS
 from repro.serialize import result_to_dict
 from tests.conftest import workload_strategy
 
@@ -44,6 +46,7 @@ POLICIES = {
     "bsld(1.5,NO)": PolicySpec.power_aware(1.5, None),
     "bsld(2,4)": PolicySpec.power_aware(2.0, 4),
     "bsld(3,0)-strict": PolicySpec.power_aware(3.0, 0, strict_top_backfill=True),
+    "util": PolicySpec(kind="util"),
 }
 
 
@@ -80,12 +83,31 @@ def test_lanes_identical_variants(spec):
     assert_lanes_identical(spec)
 
 
+class PatientPolicy(FrequencyPolicy):
+    """Backfills only jobs that have waited 600 s: its skips turn into
+    starts as the clock advances, so it keeps ``refusals_persist`` off."""
+
+    def select_gear(self, job, ctx):
+        top = self.gears.top
+        if not ctx.must_schedule and (ctx.wait_time_for(top) < 600.0 or not ctx.feasible(top)):
+            return None
+        return top
+
+
+def test_lanes_identical_for_a_registered_policy(monkeypatch):
+    """A user policy kind runs fused, and its softening skips still match."""
+    assert "bsld" in POLICY_KINDS  # load the bundled kinds before adding one
+    monkeypatch.setitem(POLICY_KINDS._entries, "patient", lambda spec: PatientPolicy())
+    spec = RunSpec(workload="SDSC", n_jobs=400, seed=3, policy=PolicySpec(kind="patient"))
+    assert_lanes_identical(spec)
+
+
 @pytest.mark.parametrize(
     "spec, kwargs",
     [
-        # Sleep policies, the conservative scheduler, validate mode and
-        # the util policy are outside the fused core: the columnar lane
-        # must fall back to the reference core and still match.
+        # Sleep policies, the conservative scheduler and validate mode
+        # are outside the fused core: the columnar lane must fall back
+        # to the reference core and still match.
         (
             RunSpec(
                 workload="SDSC", n_jobs=200, seed=2,
